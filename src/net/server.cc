@@ -6,6 +6,7 @@
 #include <condition_variable>
 #include <cstring>
 #include <deque>
+#include <exception>
 #include <mutex>
 #include <stdexcept>
 #include <unordered_map>
@@ -180,6 +181,11 @@ struct NetServer::Impl {
                 return; // connection vanished before completion
             p = std::move(it->second);
             pending.erase(it);
+        }
+        if (c.failed) {
+            sendError(*p.conn, StatusCode::Internal, p.requestId,
+                      "batch failed");
+            return;
         }
         ReplyMsg r;
         r.requestId = p.requestId;
@@ -801,8 +807,13 @@ NetServer::NetServer(const core::ComponentBenchmark &benchmark,
 
 NetServer::~NetServer()
 {
-    if (impl_->started.load())
+    if (!impl_->started.load())
+        return;
+    try {
         stop();
+    } catch (...) {
+        // A failed batch's error; callers that want it call stop().
+    }
 }
 
 void
@@ -858,7 +869,12 @@ NetServer::stop()
     requestStop();
     if (impl->ioThread.joinable())
         impl->ioThread.join();
-    impl->endpoint->drain();
+    std::exception_ptr error;
+    try {
+        impl->endpoint->drain();
+    } catch (...) {
+        error = std::current_exception();
+    }
 
     NetServerStats stats;
     stats.accepted = impl->accepted;
@@ -871,6 +887,8 @@ NetServer::stop()
         stats.connections.push_back(c->stats);
     impl->finalStats = std::move(stats);
     impl->stoppedCollected = true;
+    if (error)
+        std::rethrow_exception(error);
     return impl->finalStats;
 }
 

@@ -139,7 +139,11 @@ class NetServer
      *  exitAfterLastClient) and finished draining. */
     void waitStopped();
 
-    /** Drain (if still running), join everything, publish stats. */
+    /**
+     * Drain (if still running), join everything, publish stats. If a
+     * batch failed, the first call rethrows its error once the stats
+     * are published; later calls return them.
+     */
     NetServerStats stop();
 
   private:

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "core/thread_pool.h"
 #include "tensor/random.h"
@@ -13,13 +12,6 @@ namespace aib::serve {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-double
-microsSince(Clock::time_point t0)
-{
-    return std::chrono::duration<double, std::micro>(Clock::now() - t0)
-        .count();
-}
 
 } // namespace
 
@@ -45,10 +37,8 @@ struct ServingEndpoint::WorkerState {
     std::uint64_t batches = 0;
     /** Dynamic mode: digest fold in this worker's dispatch order. */
     double digestFold = 0.0;
-    /** Planned mode: slot bi belongs to the worker executing batch
-     *  bi; distinct slots, so no synchronization is needed. */
-    std::vector<double> *plannedDigests = nullptr;
-    std::vector<unsigned char> *plannedRan = nullptr;
+    /** Dynamic mode: kernels of every batch this worker ran. */
+    profiler::TraceSession trace;
 };
 
 struct ServingEndpoint::PlannedBatch {
@@ -72,7 +62,6 @@ ServingEndpoint::ServingEndpoint(
             throw std::invalid_argument(
                 "endpoint: planned batching needs a non-empty plan");
         pending_.resize(options_.plan.size());
-        std::unordered_map<int, int> seen;
         for (std::size_t b = 0; b < options_.plan.size(); ++b) {
             if (options_.plan[b].ids.empty())
                 throw std::invalid_argument(
@@ -80,7 +69,7 @@ ServingEndpoint::ServingEndpoint(
             pending_[b].expected =
                 static_cast<int>(options_.plan[b].ids.size());
             for (const int id : options_.plan[b].ids)
-                if (!seen.emplace(id, static_cast<int>(b)).second)
+                if (!batchOf_.emplace(id, static_cast<int>(b)).second)
                     throw std::invalid_argument(
                         "endpoint: plan repeats id " +
                         std::to_string(id));
@@ -96,8 +85,7 @@ ServingEndpoint::ServingEndpoint(
     batchSizeCounts_.assign(static_cast<std::size_t>(maxSize), 0);
 
     const int workers = options_.workers;
-    plannedDigestSlots_.assign(options_.plan.size(), 0.0);
-    plannedRanSlots_.assign(options_.plan.size(), 0);
+    planned_ = std::vector<PlannedBatchResult>(options_.plan.size());
     workers_.reserve(static_cast<std::size_t>(workers));
     for (int w = 0; w < workers; ++w) {
         auto state = std::make_unique<WorkerState>();
@@ -108,15 +96,13 @@ ServingEndpoint::ServingEndpoint(
                                    options_.warmupQueries);
         state->batchSizeCounts.assign(
             static_cast<std::size_t>(maxSize), 0);
-        state->plannedDigests = &plannedDigestSlots_;
-        state->plannedRan = &plannedRanSlots_;
         workers_.push_back(std::move(state));
     }
 
     // The worker loops run as chunks of one parallel region on a
-    // dedicated pool (engine-style): every tensor op inside a loop
-    // executes inline on its worker, giving inter-query parallelism
-    // without oversubscribing the global tensor pool.
+    // dedicated pool: every tensor op inside a loop executes inline
+    // on its worker, giving inter-query parallelism without
+    // oversubscribing the global tensor pool.
     coordinator_ = std::thread([this, workers] {
         try {
             core::ThreadPool pool(workers);
@@ -127,19 +113,13 @@ ServingEndpoint::ServingEndpoint(
                         workerLoop(*workers_[static_cast<std::size_t>(
                             chunk)]);
                     } catch (...) {
-                        // Unblock peers before propagating.
-                        if (queue_)
-                            queue_->close();
-                        {
-                            core::MutexLock lock(mutex_);
-                            closed_ = true;
-                        }
-                        readyCv_.notify_all();
-                        throw;
+                        // A throwing completion callback: stop
+                        // admitting so the peers drain and exit.
+                        fail(std::current_exception());
                     }
                 });
         } catch (...) {
-            workerError_ = std::current_exception();
+            fail(std::current_exception());
         }
     });
 }
@@ -156,40 +136,26 @@ ServingEndpoint::~ServingEndpoint()
 SubmitResult
 ServingEndpoint::submit(const Request &request)
 {
-    if (options_.batching == BatchingMode::Dynamic) {
-        {
-            core::MutexLock lock(mutex_);
-            if (closed_)
-                return SubmitResult::Closed;
-        }
+    if (queue_) {
+        // Held across the push, so no request is admitted after
+        // closeAdmission() returned.
+        core::MutexLock lock(mutex_);
+        if (closed_)
+            return SubmitResult::Closed;
         return queue_->push(request) ? SubmitResult::Accepted
                                      : SubmitResult::Shed;
     }
 
-    int readyIndex = -1;
     {
         core::MutexLock lock(mutex_);
         if (closed_)
             return SubmitResult::Closed;
-        int batch = -1;
-        int slot = -1;
-        for (std::size_t b = 0;
-             b < options_.plan.size() && batch < 0; ++b) {
-            const auto &ids = options_.plan[b].ids;
-            for (std::size_t k = 0; k < ids.size(); ++k) {
-                if (ids[k] == request.id) {
-                    batch = static_cast<int>(b);
-                    slot = static_cast<int>(k);
-                    break;
-                }
-            }
-        }
-        (void)slot;
-        if (batch < 0) {
+        const auto it = batchOf_.find(request.id);
+        if (it == batchOf_.end()) {
             plannedRejected_ += 1;
             return SubmitResult::UnknownId;
         }
-        PlannedBatch &p = pending_[static_cast<std::size_t>(batch)];
+        PlannedBatch &p = pending_[static_cast<std::size_t>(it->second)];
         for (const Request &r : p.arrived)
             if (r.id == request.id) {
                 plannedRejected_ += 1;
@@ -200,14 +166,12 @@ ServingEndpoint::submit(const Request &request)
             return SubmitResult::Closed; // batch already flushed
         }
         p.arrived.push_back(request);
-        if (static_cast<int>(p.arrived.size()) == p.expected) {
-            p.enqueued = true;
-            ready_.push_back(batch);
-            readyIndex = batch;
-        }
+        if (static_cast<int>(p.arrived.size()) < p.expected)
+            return SubmitResult::Accepted;
+        p.enqueued = true;
+        ready_.push_back(it->second);
     }
-    if (readyIndex >= 0)
-        readyCv_.notify_one();
+    readyCv_.notify_one();
     return SubmitResult::Accepted;
 }
 
@@ -232,33 +196,19 @@ ServingEndpoint::nextPlannedBatch(int *batchIndex,
 void
 ServingEndpoint::workerLoop(WorkerState &w)
 {
-    if (options_.batching == BatchingMode::Dynamic) {
-        std::vector<Request> batch;
-        std::vector<int> ids;
-        while (queue_->popBatch(options_.policy, &batch)) {
+    std::vector<Request> members;
+    std::vector<int> ids;
+    if (queue_) {
+        while (queue_->popBatch(options_.policy, &members)) {
             ids.clear();
-            for (const Request &r : batch)
+            for (const Request &r : members)
                 ids.push_back(r.id);
-            const double digest = w.task->serveBatch(ids);
-            w.digestFold += digest;
-            w.batchSizeCounts[batch.size() - 1] += 1;
-            w.batches += 1;
-            for (const Request &r : batch) {
-                const double lat = microsSince(r.enqueue);
-                w.latency.record(lat);
-                w.served += 1;
-                if (onComplete_)
-                    onComplete_({r.id, digest, -1,
-                                 static_cast<int>(batch.size()),
-                                 lat});
-            }
+            execute(w, -1, members, ids);
         }
         return;
     }
 
     int bi = -1;
-    std::vector<Request> members;
-    std::vector<int> ids;
     while (nextPlannedBatch(&bi, &members)) {
         const auto &planned =
             options_.plan[static_cast<std::size_t>(bi)].ids;
@@ -277,20 +227,84 @@ ServingEndpoint::workerLoop(WorkerState &w)
                         break;
                     }
         }
-        const double digest = w.task->serveBatch(ids);
-        (*w.plannedDigests)[static_cast<std::size_t>(bi)] = digest;
-        (*w.plannedRan)[static_cast<std::size_t>(bi)] = 1;
+        execute(w, bi, members, ids);
+    }
+}
+
+void
+ServingEndpoint::execute(WorkerState &w, int batchIndex,
+                         const std::vector<Request> &members,
+                         const std::vector<int> &ids)
+{
+    PlannedBatchResult *slot =
+        batchIndex >= 0 ? &planned_[static_cast<std::size_t>(batchIndex)]
+                        : nullptr;
+    double digest = 0.0;
+    bool failed = false;
+    try {
+        profiler::ScopedTrace scope(slot ? slot->trace : w.trace);
+        digest = w.task->serveBatch(ids);
+    } catch (...) {
+        // Stop admitting before the members complete, so a
+        // completion that resubmits cannot feed a failing endpoint.
+        failed = true;
+        fail(std::current_exception());
+    }
+    const auto end = Clock::now();
+    if (!failed) {
+        if (slot) {
+            slot->digest = digest;
+            slot->ran = true;
+        } else {
+            w.digestFold += digest;
+        }
         w.batchSizeCounts[ids.size() - 1] += 1;
         w.batches += 1;
-        for (const Request &r : members) {
-            const double lat = microsSince(r.enqueue);
+    }
+    for (const Request &r : members) {
+        const double lat =
+            std::chrono::duration<double, std::micro>(end - r.enqueue)
+                .count();
+        if (!failed) {
             w.latency.record(lat);
             w.served += 1;
-            if (onComplete_)
-                onComplete_({r.id, digest, bi,
-                             static_cast<int>(ids.size()), lat});
+        }
+        if (onComplete_)
+            onComplete_({r.id, digest, batchIndex,
+                         static_cast<int>(ids.size()), lat, failed});
+    }
+}
+
+void
+ServingEndpoint::fail(std::exception_ptr error)
+{
+    {
+        core::MutexLock lock(mutex_);
+        if (!firstError_)
+            firstError_ = std::move(error);
+    }
+    closeAdmission();
+}
+
+void
+ServingEndpoint::closeAdmission()
+{
+    {
+        core::MutexLock lock(mutex_);
+        closed_ = true;
+        // Planned mode: flush partially-arrived batches, so a client
+        // that died mid-trace cannot wedge the drain.
+        for (std::size_t b = 0; b < pending_.size(); ++b) {
+            PlannedBatch &p = pending_[b];
+            if (!p.enqueued && !p.arrived.empty()) {
+                p.enqueued = true;
+                ready_.push_back(static_cast<int>(b));
+            }
         }
     }
+    readyCv_.notify_all();
+    if (queue_)
+        queue_->close();
 }
 
 void
@@ -304,14 +318,17 @@ ServingEndpoint::finish()
         batchesServed_ += w->batches;
     }
     if (options_.batching == BatchingMode::Planned) {
-        // Batch-index-order fold, regardless of execution order.
-        sessionDigest_ = 0.0;
-        for (std::size_t b = 0; b < plannedDigestSlots_.size(); ++b)
-            if (plannedRanSlots_[b])
-                sessionDigest_ += plannedDigestSlots_[b];
+        // Batch-index order, regardless of execution order.
+        for (const PlannedBatchResult &b : planned_)
+            if (b.ran) {
+                sessionDigest_ += b.digest;
+                trace_.merge(b.trace);
+            }
     } else {
-        for (const auto &w : workers_)
+        for (const auto &w : workers_) {
             sessionDigest_ += w->digestFold;
+            trace_.merge(w->trace);
+        }
     }
 }
 
@@ -320,35 +337,18 @@ ServingEndpoint::drain()
 {
     if (drained_)
         return;
-    if (options_.batching == BatchingMode::Dynamic) {
-        {
-            core::MutexLock lock(mutex_);
-            closed_ = true;
-        }
-        queue_->close();
-    } else {
-        {
-            core::MutexLock lock(mutex_);
-            closed_ = true;
-            // Flush partially-arrived batches: a connection that died
-            // mid-trace must not wedge the drain. Empty batches are
-            // simply skipped.
-            for (std::size_t b = 0; b < pending_.size(); ++b) {
-                PlannedBatch &p = pending_[b];
-                if (!p.enqueued && !p.arrived.empty()) {
-                    p.enqueued = true;
-                    ready_.push_back(static_cast<int>(b));
-                }
-            }
-        }
-        readyCv_.notify_all();
-    }
+    closeAdmission();
     if (coordinator_.joinable())
         coordinator_.join();
     finish();
     drained_ = true;
-    if (workerError_)
-        std::rethrow_exception(workerError_);
+    std::exception_ptr error;
+    {
+        core::MutexLock lock(mutex_);
+        error = firstError_;
+    }
+    if (error)
+        std::rethrow_exception(error);
 }
 
 std::uint64_t

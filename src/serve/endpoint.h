@@ -1,38 +1,43 @@
 /**
  * @file
- * Push-driven serving endpoint: the enqueue hook the network server
- * sits on.
+ * The serving endpoint: the one place a batch executes.
  *
- * @c serveBenchmark owns its whole lifecycle — it generates load,
- * serves it, and returns a report. A network server cannot use that
- * shape: requests arrive from sockets at times the engine does not
- * control, and completions must be routed back to the connection that
- * sent them. @c ServingEndpoint splits the engine at the admission
- * boundary: callers @c submit() requests from any thread, the same
- * AdmissionQueue/dynamic-batcher/worker-replica machinery serves
- * them, and a completion callback fires per request on the worker
- * that served it (docs/NETSERVE.md).
+ * Callers @c submit() requests from any thread; the endpoint groups
+ * them into batches, a pool of worker replicas executes each batch
+ * with @c TrainableTask::serveBatch, and a completion callback fires
+ * once per request on the worker that served it. The network server
+ * (docs/NETSERVE.md), the open- and closed-loop drivers of
+ * @c serveBenchmark and the planned replay of @c replayTrace
+ * (docs/SERVING.md) all serve through it.
  *
  * Two batching modes:
  *
- *  - @c Dynamic: the engine's live path — bounded admission queue
- *    (shedding by rejection), batches closed at maxBatch or
- *    maxDelayUs. Batch composition depends on arrival timing, so
- *    digests are real but not reproducible run-to-run.
+ *  - @c Dynamic: bounded admission queue (shedding by rejection),
+ *    batches closed at maxBatch or maxDelayUs. Batch composition
+ *    depends on arrival timing, so digests are real but not
+ *    reproducible run-to-run.
  *
  *  - @c Planned: batch composition is fixed up front from a
  *    @c planBatches plan both sides can derive (seeded arrival
  *    trace). Requests are buffered per planned batch and a batch
  *    dispatches when its last member arrives, so the executed
  *    compositions — and therefore the per-batch digests and their
- *    batch-order fold — are bitwise identical to @c replayTrace on
- *    the same trace, no matter how network timing interleaves the
- *    arrivals. This is what lets a loopback netbench run be gated
- *    against the in-process replay digest in CI.
+ *    batch-order fold — do not depend on arrival timing or on the
+ *    worker count. This is what lets a loopback netbench run be
+ *    gated against the in-process replay digest in CI.
  *
- * Worker replicas are built exactly like the engine's (same seed
- * discipline), and worker loops run inside a dedicated ThreadPool
- * parallel region so every tensor op executes inline on its worker.
+ * Every worker records the kernels it launches (per worker in
+ * dynamic mode, per batch in planned mode): the input of the
+ * simulated-device service-time and energy columns.
+ *
+ * A batch whose @c serveBatch throws still completes each of its
+ * members exactly once, with @c EndpointCompletion::failed set. The
+ * endpoint then stops admitting, serves what it already admitted,
+ * and @c drain() rethrows the first such error.
+ *
+ * Worker replicas are built from the same seed, and worker loops run
+ * inside a dedicated ThreadPool parallel region so every tensor op
+ * executes inline on its worker.
  */
 
 #ifndef AIB_SERVE_ENDPOINT_H
@@ -45,10 +50,12 @@
 #include <functional>
 #include <memory>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "core/annotations.h"
 #include "core/benchmark.h"
+#include "profiler/trace.h"
 #include "serve/batcher.h"
 #include "serve/histogram.h"
 
@@ -81,13 +88,22 @@ enum class SubmitResult {
     UnknownId, ///< planned mode: id outside the plan (or duplicate)
 };
 
-/** Delivered to the completion callback, once per served request. */
+/** Delivered to the completion callback, once per accepted request. */
 struct EndpointCompletion {
     int id = 0;                 ///< the request's exemplar id
     double batchDigest = 0.0;   ///< digest of the batch it rode in
     long batchIndex = -1;       ///< planned-mode batch number
     int batchSize = 0;
-    double serverLatencyUs = 0; ///< submit -> served, server clock
+    double serverLatencyUs = 0; ///< enqueue -> served, server clock
+    /** The batch's serveBatch threw: no digest, nothing served. */
+    bool failed = false;
+};
+
+/** Planned mode: what executing one planned batch produced. */
+struct PlannedBatchResult {
+    bool ran = false;             ///< executed without throwing
+    double digest = 0.0;          ///< serveBatch output digest
+    profiler::TraceSession trace; ///< kernels the batch launched
 };
 
 /**
@@ -98,12 +114,11 @@ struct EndpointCompletion {
 using EndpointCallback = std::function<void(const EndpointCompletion &)>;
 
 /**
- * Build one serving replica the way the engine builds its worker
- * replicas: reseed the global RNG, construct, optionally train and
- * warm up. Replicas built with equal arguments are bitwise clones —
- * the digest-parity contract between live serving, replay and the
- * network endpoint. Must be called from one thread at a time (the
- * global RNG is process state).
+ * Build one serving replica: reseed the global RNG, construct,
+ * optionally train and warm up. Replicas built with equal arguments
+ * are bitwise clones — the digest-parity contract between live
+ * serving, replay and the network endpoint. Must be called from one
+ * thread at a time (the global RNG is process state).
  */
 std::unique_ptr<core::TrainableTask>
 buildReplica(const core::ComponentBenchmark &benchmark,
@@ -128,8 +143,9 @@ class ServingEndpoint
 
     /**
      * Admit one request from any thread. @c request.id is the
-     * exemplar id; @c request.enqueue should be the caller's receive
-     * timestamp (used for the server-side latency histogram).
+     * exemplar id; latency is measured from @c request.enqueue — the
+     * caller's receive timestamp, or a load generator's scheduled
+     * arrival.
      */
     SubmitResult submit(const Request &request) AIB_EXCLUDES(mutex_);
 
@@ -139,15 +155,16 @@ class ServingEndpoint
      * wedge the drain), join the workers, and rethrow the first
      * worker exception, if any. Idempotent.
      */
-    void drain();
+    void drain() AIB_EXCLUDES(mutex_);
 
     // ---- post-drain accounting (stable once drain() returned) ----
 
+    /** Requests served without error. */
     std::uint64_t completed() const { return completed_; }
     std::uint64_t rejected() const;
     int peakQueueDepth() const;
     std::uint64_t batches() const { return batchesServed_; }
-    /** Submit->served latency across all requests (server clock). */
+    /** Enqueue->served latency of the served requests. */
     const LatencyHistogram &latency() const { return latency_; }
     /** batchSizeCounts[s] = batches dispatched with size s+1. */
     const std::vector<std::uint64_t> &batchSizeCounts() const
@@ -161,6 +178,13 @@ class ServingEndpoint
      * but timing-dependent.
      */
     double sessionDigest() const { return sessionDigest_; }
+    /** Kernels launched by every batch served, merged. */
+    const profiler::TraceSession &trace() const { return trace_; }
+    /** Planned mode: one result per planned batch, in plan order. */
+    const std::vector<PlannedBatchResult> &plannedBatches() const
+    {
+        return planned_;
+    }
 
     const EndpointOptions &options() const { return options_; }
 
@@ -172,6 +196,13 @@ class ServingEndpoint
     bool nextPlannedBatch(int *batchIndex,
                           std::vector<Request> *members)
         AIB_EXCLUDES(mutex_);
+    void execute(WorkerState &w, int batchIndex,
+                 const std::vector<Request> &members,
+                 const std::vector<int> &ids) AIB_EXCLUDES(mutex_);
+    /** Record the first worker error and stop admitting. */
+    void fail(std::exception_ptr error) AIB_EXCLUDES(mutex_);
+    /** Stop admitting; everything admitted is still served. */
+    void closeAdmission() AIB_EXCLUDES(mutex_);
     void finish();
 
     const core::ComponentBenchmark &benchmark_;
@@ -182,6 +213,10 @@ class ServingEndpoint
     std::unique_ptr<AdmissionQueue> queue_; ///< dynamic mode
     std::thread coordinator_;
 
+    /** Planned mode: id -> index of its planned batch. Built once
+     *  by the constructor, read-only afterwards. */
+    std::unordered_map<int, int> batchOf_;
+
     mutable core::Mutex mutex_;
     std::condition_variable readyCv_;
     /** Planned mode: arrival buffers, one per planned batch. */
@@ -189,19 +224,17 @@ class ServingEndpoint
     std::deque<int> ready_ AIB_GUARDED_BY(mutex_);
     bool closed_ AIB_GUARDED_BY(mutex_) = false;
     std::uint64_t plannedRejected_ AIB_GUARDED_BY(mutex_) = 0;
+    std::exception_ptr firstError_ AIB_GUARDED_BY(mutex_);
 
     /**
-     * Planned mode: per-batch digest slots. Slot b is written only by
+     * Planned mode: per-batch result slots. Slot b is written only by
      * the worker that executed batch b (each ready_ entry is popped
      * exactly once), and read after the pool joined — distinct slots,
-     * no lock. unsigned char, not bool: vector<bool> is bit-packed
-     * and concurrent writes to distinct indices would race.
+     * no lock.
      */
-    std::vector<double> plannedDigestSlots_;
-    std::vector<unsigned char> plannedRanSlots_;
+    std::vector<PlannedBatchResult> planned_;
 
     bool drained_ = false;
-    std::exception_ptr workerError_;
 
     // Merged after the pool joined; read-only afterwards.
     std::uint64_t completed_ = 0;
@@ -209,6 +242,7 @@ class ServingEndpoint
     double sessionDigest_ = 0.0;
     LatencyHistogram latency_;
     std::vector<std::uint64_t> batchSizeCounts_;
+    profiler::TraceSession trace_;
 };
 
 } // namespace aib::serve

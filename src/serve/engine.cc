@@ -1,34 +1,21 @@
 #include "serve/engine.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <memory>
+#include <condition_variable>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
 
-#include "core/thread_pool.h"
 #include "gpusim/kernel_model.h"
-#include "profiler/trace.h"
 #include "serve/endpoint.h"
 #include "serve/loadgen.h"
-#include "tensor/random.h"
 
 namespace aib::serve {
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-/** Per-worker serving state; never shared across workers. */
-struct WorkerState {
-    std::unique_ptr<core::TrainableTask> task;
-    LatencyHistogram latency;
-    std::vector<std::uint64_t> batchSizeCounts;
-    profiler::TraceSession trace;
-    double energyJoules = 0.0; // replay mode accumulates per batch
-    std::uint64_t served = 0;
-};
 
 void
 validate(const ServingOptions &options)
@@ -47,33 +34,24 @@ validate(const ServingOptions &options)
         throw std::invalid_argument("serve: open loop needs qps > 0");
 }
 
-/**
- * Build one bitwise-identical task replica per worker. Replicas are
- * constructed (and optionally trained and warmed) sequentially on
- * the calling thread: task constructors and runEpoch draw from the
- * process-global RNG, which is reseeded per replica and must not be
- * touched concurrently.
- */
-std::vector<WorkerState>
-buildWorkers(const core::ComponentBenchmark &benchmark,
-             const ServingOptions &options, int workers)
+EndpointOptions
+endpointOptions(const ServingOptions &options)
 {
-    std::vector<WorkerState> state(static_cast<std::size_t>(workers));
-    for (WorkerState &w : state) {
-        w.task = buildReplica(benchmark, options.seed,
-                              options.trainEpochs,
-                              options.warmupQueries);
-        w.batchSizeCounts.assign(
-            static_cast<std::size_t>(options.policy.maxBatch), 0);
-    }
-    return state;
+    EndpointOptions eo;
+    eo.workers = options.workers;
+    eo.policy = options.policy;
+    eo.queueCapacity = options.queueCapacity;
+    eo.trainEpochs = options.trainEpochs;
+    eo.warmupQueries = options.warmupQueries;
+    eo.seed = options.seed;
+    return eo;
 }
 
-/** Merge per-worker stats and the simulated-device columns. */
+/** The fields every mode reads off a drained endpoint. */
 ServingReport
-assembleReport(const core::ComponentBenchmark &benchmark,
-               const ServingOptions &options,
-               std::vector<WorkerState> &state, const char *mode)
+reportOf(const core::ComponentBenchmark &benchmark,
+         const ServingOptions &options, const ServingEndpoint &endpoint,
+         const char *mode)
 {
     ServingReport report;
     report.benchmarkId = benchmark.info.id;
@@ -82,28 +60,18 @@ assembleReport(const core::ComponentBenchmark &benchmark,
     report.maxBatch = options.policy.maxBatch;
     report.maxDelayUs = options.policy.maxDelayUs;
     report.seed = options.seed;
-    report.batchSizeCounts.assign(
-        static_cast<std::size_t>(options.policy.maxBatch), 0);
+    report.completed = static_cast<int>(endpoint.completed());
+    report.batchSizeCounts = endpoint.batchSizeCounts();
 
-    profiler::TraceSession merged;
-    std::uint64_t completed = 0;
-    for (WorkerState &w : state) {
-        report.latency.merge(w.latency);
-        for (std::size_t s = 0; s < w.batchSizeCounts.size(); ++s)
-            report.batchSizeCounts[s] += w.batchSizeCounts[s];
-        merged.merge(w.trace);
-        completed += w.served;
-    }
-    report.completed = static_cast<int>(completed);
-
-    if (completed > 0 && merged.totalLaunches() > 0) {
+    const profiler::TraceSession &trace = endpoint.trace();
+    if (report.completed > 0 && trace.totalLaunches() > 0) {
         const gpusim::TraceSimResult sim =
-            gpusim::simulateTrace(merged, options.device);
+            gpusim::simulateTrace(trace, options.device);
         report.energyPerQueryMj =
             gpusim::simulatedEnergyJoules(sim, options.device) * 1e3 /
-            static_cast<double>(completed);
+            report.completed;
         report.simServiceMsPerQuery =
-            sim.totalTimeSec * 1e3 / static_cast<double>(completed);
+            sim.totalTimeSec * 1e3 / report.completed;
     }
     return report;
 }
@@ -115,142 +83,90 @@ serveBenchmark(const core::ComponentBenchmark &benchmark,
                const ServingOptions &options)
 {
     validate(options);
-    if (options.mode == DriveMode::Replay)
-        throw std::invalid_argument(
-            "serve: replay mode goes through replayTrace");
     const bool closed = options.mode == DriveMode::ClosedLoop;
-    const BatchPolicy policy = options.policy;
-    const int workers = options.workers;
     const int queries = options.queries;
-
-    int concurrency =
+    const int concurrency = std::min(
         options.concurrency > 0
             ? options.concurrency
-            : 2 * policy.maxBatch * workers;
-    concurrency = std::min(concurrency, queries);
+            : 2 * options.policy.maxBatch * options.workers,
+        queries);
+
+    EndpointOptions eo = endpointOptions(options);
     // A closed loop never sheds: its in-flight bound is the queue
     // bound. An open loop sheds at the configured high-water mark.
-    const int capacity =
-        closed ? std::max(options.queueCapacity, concurrency)
-               : options.queueCapacity;
+    if (closed)
+        eo.queueCapacity = std::max(options.queueCapacity, concurrency);
 
-    std::vector<WorkerState> state =
-        buildWorkers(benchmark, options, workers);
-    AdmissionQueue queue(capacity);
-
-    std::atomic<int> nextId{0};
-    std::atomic<int> completedCount{0};
-    const auto run_start = Clock::now();
-
-    // Closed loop: admit the request with the next unissued id, if
-    // any. Issue order is the id order; arrivalUs is logical time
-    // since run start.
-    const auto admitNext = [&] {
-        const int id = nextId.fetch_add(1, std::memory_order_relaxed);
-        if (id >= queries)
-            return;
-        Request r;
-        r.id = id;
-        r.enqueue = Clock::now();
-        r.arrivalUs =
-            std::chrono::duration<double, std::micro>(r.enqueue -
-                                                      run_start)
-                .count();
-        queue.push(r);
+    // Closed loop: issue order is id order, and every completion
+    // submits the next unissued id before retiring itself, so
+    // inFlight reaches 0 only once the ids ran out or the endpoint
+    // refused a submit (it closes after a failed batch).
+    std::mutex mutex;
+    std::condition_variable idle;
+    int next = 0;
+    int inFlight = 0;
+    const auto retire = [&] {
+        std::lock_guard<std::mutex> lock(mutex);
+        if (--inFlight == 0)
+            idle.notify_all();
     };
-
-    // The worker pool: chunk 0 drives load injection on the calling
-    // thread, chunks 1..workers run the serving loops. Bodies
-    // execute inside a parallel region, so every tensor op below
-    // them runs inline on its worker (inter-query parallelism).
-    core::ThreadPool pool(workers + 1);
-    pool.parallelForChunked(
-        0, workers + 1, 1,
-        [&](int chunk, std::int64_t, std::int64_t) {
-            if (chunk == 0) {
-                // ---- load-injection driver ----
-                try {
-                    if (closed) {
-                        for (int i = 0; i < concurrency; ++i)
-                            admitNext();
-                        // Workers admit replacements and close the
-                        // queue once every query completed.
-                        return;
-                    }
-                    const std::vector<double> arrivals = poissonTrace(
-                        options.seed, options.qps, queries);
-                    for (int i = 0; i < queries; ++i) {
-                        const auto due =
-                            run_start +
-                            std::chrono::duration_cast<
-                                Clock::duration>(
-                                std::chrono::duration<double,
-                                                      std::micro>(
-                                    arrivals[static_cast<std::size_t>(
-                                        i)]));
-                        std::this_thread::sleep_until(due);
-                        Request r;
-                        r.id = i;
-                        r.arrivalUs =
-                            arrivals[static_cast<std::size_t>(i)];
-                        r.enqueue = Clock::now();
-                        queue.push(r);
-                    }
-                    queue.close();
-                } catch (...) {
-                    queue.close(); // release blocked workers
-                    throw;
-                }
+    const auto issue = [&](ServingEndpoint &endpoint) {
+        Request r;
+        {
+            std::lock_guard<std::mutex> lock(mutex);
+            if (next >= queries)
                 return;
-            }
-            // ---- serving worker ----
-            WorkerState &w =
-                state[static_cast<std::size_t>(chunk - 1)];
-            try {
-                profiler::ScopedTrace scope(w.trace);
-                std::vector<Request> batch;
-                std::vector<int> ids;
-                while (queue.popBatch(policy, &batch)) {
-                    ids.clear();
-                    for (const Request &r : batch)
-                        ids.push_back(r.id);
-                    (void)w.task->serveBatch(ids);
-                    const auto end = Clock::now();
-                    for (const Request &r : batch)
-                        w.latency.record(
+            r.id = next++;
+            ++inFlight;
+        }
+        r.enqueue = Clock::now();
+        if (endpoint.submit(r) != SubmitResult::Accepted)
+            retire();
+    };
+    // The callback resubmits through the endpoint it is registered
+    // with; completions only fire after construction.
+    ServingEndpoint endpoint(benchmark, eo,
+                             [&](const EndpointCompletion &) {
+                                 if (closed) {
+                                     issue(endpoint);
+                                     retire();
+                                 }
+                             });
+
+    const auto runStart = Clock::now();
+    if (closed) {
+        for (int i = 0; i < concurrency; ++i)
+            issue(endpoint);
+        std::unique_lock<std::mutex> lock(mutex);
+        idle.wait(lock, [&] { return inFlight == 0; });
+    } else {
+        const std::vector<double> arrivals =
+            poissonTrace(options.seed, options.qps, queries);
+        for (int i = 0; i < queries; ++i) {
+            Request r;
+            r.id = i;
+            r.arrivalUs = arrivals[static_cast<std::size_t>(i)];
+            // Stamped with the due time, not the push: a late
+            // generator inflates latency instead of hiding it.
+            r.enqueue = runStart +
+                        std::chrono::duration_cast<Clock::duration>(
                             std::chrono::duration<double, std::micro>(
-                                end - r.enqueue)
-                                .count());
-                    w.batchSizeCounts[batch.size() - 1] += 1;
-                    w.served += batch.size();
-                    if (closed) {
-                        for (std::size_t k = 0; k < batch.size(); ++k)
-                            admitNext();
-                        const int done =
-                            completedCount.fetch_add(
-                                static_cast<int>(batch.size()),
-                                std::memory_order_acq_rel) +
-                            static_cast<int>(batch.size());
-                        if (done >= queries)
-                            queue.close();
-                    }
-                }
-            } catch (...) {
-                queue.close(); // unblock peers before rethrowing
-                throw;
-            }
-        });
-
+                                r.arrivalUs));
+            std::this_thread::sleep_until(r.enqueue);
+            if (endpoint.submit(r) == SubmitResult::Closed)
+                break;
+        }
+    }
+    endpoint.drain();
     const double wall =
-        std::chrono::duration<double>(Clock::now() - run_start)
-            .count();
+        std::chrono::duration<double>(Clock::now() - runStart).count();
 
-    ServingReport report = assembleReport(
-        benchmark, options, state, closed ? "closed" : "open");
+    ServingReport report = reportOf(benchmark, options, endpoint,
+                                    closed ? "closed" : "open");
+    report.latency = endpoint.latency();
     report.issued = queries;
-    report.rejected =
-        static_cast<int>(queue.rejected());
-    report.peakQueueDepth = queue.peakDepth();
+    report.rejected = static_cast<int>(endpoint.rejected());
+    report.peakQueueDepth = endpoint.peakQueueDepth();
     report.wallSeconds = wall;
     report.throughputQps =
         wall > 0.0 ? static_cast<double>(report.completed) / wall
@@ -267,49 +183,39 @@ replayTrace(const core::ComponentBenchmark &benchmark,
 {
     validate(options);
     const int workers = options.workers;
-    const std::vector<BatchPlan> plans =
-        planBatches(arrivalUs, options.policy);
-    const auto n_batches = static_cast<std::int64_t>(plans.size());
-
-    std::vector<WorkerState> state =
-        buildWorkers(benchmark, options, workers);
-
-    ReplayResult result;
-    result.batches.resize(plans.size());
+    EndpointOptions eo = endpointOptions(options);
+    eo.batching = BatchingMode::Planned;
+    eo.plan = planBatches(arrivalUs, options.policy);
 
     // Execute every batch for real: composition comes from the pure
     // plan, inputs are pure functions of request ids, and replicas
     // are bitwise-identical — so digests are independent of which
-    // worker runs which batch. Chunk c executes a contiguous batch
-    // range on replica c; per-batch traces feed the simulated
+    // worker runs which batch. Per-batch traces feed the simulated
     // service time and energy.
-    core::ThreadPool pool(workers);
-    pool.parallelForChunked(
-        0, n_batches, 1,
-        [&](int chunk, std::int64_t b0, std::int64_t b1) {
-            WorkerState &w = state[static_cast<std::size_t>(chunk)];
-            for (std::int64_t b = b0; b < b1; ++b) {
-                const BatchPlan &plan =
-                    plans[static_cast<std::size_t>(b)];
-                ReplayBatch &out =
-                    result.batches[static_cast<std::size_t>(b)];
-                out.ids = plan.ids;
-                profiler::TraceSession batch_trace;
-                {
-                    profiler::ScopedTrace scope(batch_trace);
-                    out.digest = w.task->serveBatch(plan.ids);
-                }
-                const gpusim::TraceSimResult sim =
-                    gpusim::simulateTrace(batch_trace,
-                                          options.device);
-                out.serviceUs = sim.totalTimeSec * 1e6;
-                w.energyJoules += gpusim::simulatedEnergyJoules(
-                    sim, options.device);
-                w.trace.merge(batch_trace);
-                w.batchSizeCounts[plan.ids.size() - 1] += 1;
-                w.served += plan.ids.size();
-            }
-        });
+    ServingEndpoint endpoint(benchmark, std::move(eo), nullptr);
+    for (std::size_t i = 0; i < arrivalUs.size(); ++i) {
+        Request r;
+        r.id = static_cast<int>(i);
+        r.enqueue = Clock::now();
+        endpoint.submit(r);
+    }
+    endpoint.drain();
+    const std::vector<BatchPlan> &plans = endpoint.options().plan;
+
+    ReplayResult result;
+    result.batches.resize(plans.size());
+    double energyJoules = 0.0;
+    for (std::size_t b = 0; b < plans.size(); ++b) {
+        const PlannedBatchResult &ran = endpoint.plannedBatches()[b];
+        ReplayBatch &out = result.batches[b];
+        out.ids = plans[b].ids;
+        out.digest = ran.digest;
+        const gpusim::TraceSimResult sim =
+            gpusim::simulateTrace(ran.trace, options.device);
+        out.serviceUs = sim.totalTimeSec * 1e6;
+        energyJoules +=
+            gpusim::simulatedEnergyJoules(sim, options.device);
+    }
 
     // Discrete-event simulation: k identical servers, FCFS in batch
     // order, each batch starting when both it and the
@@ -335,7 +241,7 @@ replayTrace(const core::ComponentBenchmark &benchmark,
     }
 
     ServingReport report =
-        assembleReport(benchmark, options, state, "replay");
+        reportOf(benchmark, options, endpoint, "replay");
     report.issued = static_cast<int>(arrivalUs.size());
     report.rejected = 0;
     report.wallSeconds = makespan_us / 1e6;
@@ -348,16 +254,11 @@ replayTrace(const core::ComponentBenchmark &benchmark,
     // order (order-invariant anyway).
     for (const double us : result.latencyUs)
         report.latency.record(us);
-    // Replay energy was accumulated per batch; prefer that exact sum
-    // over assembleReport's merged-trace estimate (identical totals,
-    // but keep the per-batch path authoritative).
-    double energy_joules = 0.0;
-    for (const WorkerState &w : state)
-        energy_joules += w.energyJoules;
+    // Energy is the per-batch sum, each batch simulated on its own
+    // trace like its service time, not the merged-trace estimate.
     if (report.completed > 0)
         report.energyPerQueryMj =
-            energy_joules * 1e3 /
-            static_cast<double>(report.completed);
+            energyJoules * 1e3 / static_cast<double>(report.completed);
     result.report = std::move(report);
     return result;
 }

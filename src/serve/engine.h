@@ -1,36 +1,30 @@
 /**
  * @file
- * Online model-serving engine (paper Sec. 4.2.1's online-inference
- * metrics, grown into a real serving path).
+ * Serving sessions (paper Sec. 4.2.1's online-inference metrics,
+ * grown into a real serving path): load drivers over
+ * @c ServingEndpoint, the one place a batch executes.
  *
- * A @c ServingEngine turns a registered component benchmark into a
- * servable endpoint: requests flow through a bounded admission queue
- * (backpressure by rejection, not unbounded growth), a dynamic
+ * Requests flow through the endpoint's bounded admission queue
+ * (backpressure by rejection, not unbounded growth), its dynamic
  * batcher (dispatch at maxBatch or maxDelayUs, whichever first) and
- * a pool of serving workers, each owning a private task replica
- * built from the same seed — replicas are bitwise-identical at
- * start, so no model state is ever shared across threads.
+ * its worker replicas, each built from the same seed — replicas are
+ * bitwise-identical at start, so no model state is ever shared
+ * across threads.
  *
- * The worker pool reuses @c core::ThreadPool: the engine dispatches
- * one parallelForChunked over [0, workers+1) on a dedicated pool —
- * chunk 0 is the load-injection driver on the calling thread, chunks
- * 1..workers are the serving loops. Because chunk bodies run inside
- * a parallel region, every tensor op a worker issues executes inline
- * on that worker (nested parallelFor is serial by design), giving
- * inter-query parallelism without oversubscribing the tensor pool,
- * and each worker's kernels land in its own TraceSession.
- *
- * Three drive modes:
+ * Three ways to drive it:
  *  - open loop: seeded Poisson arrivals at a target QPS, real
- *    sleeps; queueing delay and load shedding are visible.
+ *    sleeps, latency from each request's scheduled arrival; queueing
+ *    delay and load shedding are visible.
  *  - closed loop: a fixed number of in-flight requests, each
- *    completion immediately admitting the next; measures peak
- *    sustainable throughput.
- *  - replay: a fixed arrival trace is planned into batches by the
- *    pure policy function, every batch is really executed (output
- *    digests), and latencies come from a discrete-event simulation
- *    with gpusim-projected service times — fully deterministic under
- *    a fixed seed and trace, regardless of wall clock.
+ *    completion immediately submitting the next; measures peak
+ *    sustainable throughput. At batch 1 on one worker it is the
+ *    single-query inference measurement.
+ *  - replay (@c replayTrace): a fixed arrival trace is planned into
+ *    batches by the pure policy function, a planned endpoint really
+ *    executes every batch (output digests), and latencies come from
+ *    a discrete-event simulation with gpusim-projected service times
+ *    — fully deterministic under a fixed seed and trace, regardless
+ *    of wall clock.
  */
 
 #ifndef AIB_SERVE_ENGINE_H
@@ -47,11 +41,10 @@
 
 namespace aib::serve {
 
-/** How the load generator drives the engine. */
+/** How the load generator drives the endpoint. */
 enum class DriveMode {
     OpenLoop,
     ClosedLoop,
-    Replay,
 };
 
 /** Options for one serving run. */
@@ -89,8 +82,8 @@ struct ReplayResult {
 /**
  * Run a live (open- or closed-loop) serving session of @p benchmark
  * and return its report. Throws std::invalid_argument on nonsensical
- * options (workers < 1, queries < 1, replay mode — use
- * @c replayTrace for that).
+ * options (workers < 1, queries < 1...), and rethrows the first
+ * error of a batch that failed.
  */
 ServingReport serveBenchmark(const core::ComponentBenchmark &benchmark,
                              const ServingOptions &options);
@@ -98,7 +91,7 @@ ServingReport serveBenchmark(const core::ComponentBenchmark &benchmark,
 /**
  * Deterministically replay @p arrivalUs (non-decreasing offsets, one
  * per request) against @p benchmark: plan batches with
- * @c planBatches, execute every batch across the worker replicas
+ * @c planBatches, execute every batch on a planned endpoint
  * (digests), and derive the latency stream from a k-server FCFS
  * event simulation using gpusim-projected batch service times.
  * Batch composition and digests are independent of the worker

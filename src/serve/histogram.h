@@ -7,7 +7,7 @@
  * geometrically spaced buckets (HdrHistogram-style), so recording is
  * O(1), memory is a few KB regardless of sample count, and two
  * histograms merge by adding counts — each serving worker records
- * into its own instance and the engine merges them at the end, which
+ * into its own instance and the endpoint merges them at the end, which
  * keeps the hot path lock-free.
  *
  * Buckets grow by 2^(1/kSubBuckets) per step, bounding the relative

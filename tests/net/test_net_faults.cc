@@ -6,7 +6,9 @@
  * killed socket, keeps serving the survivors, drains without
  * wedging (planned mode flushes the batches the dead client's
  * queries will never complete), and publishes coherent stats. The
- * client sees one fatal connection and finishes anyway.
+ * client sees one fatal connection and finishes anyway. A batch that
+ * fails in the server (dag.stage) answers its queries with Internal
+ * errors, so the client still resolves every query and finishes.
  */
 
 #include <stdexcept>
@@ -16,6 +18,7 @@
 
 #include "core/faultinject.h"
 #include "core/registry.h"
+#include "dag/scenario.h"
 #include "net/client.h"
 #include "net/server.h"
 #include "serve/loadgen.h"
@@ -156,4 +159,47 @@ TEST_F(NetConnFault, UnarmedPointCostsNothingAndKillsNothing)
         EXPECT_FALSE(c.faultKilled);
     EXPECT_EQ(out.client.replies, 16u);
     EXPECT_EQ(out.client.errors, 0u);
+}
+
+TEST_F(NetConnFault, FailedBatchAnswersInternalAndTheRunEnds)
+{
+    // The batch that trips dag.stage fails: its queries get
+    // Error{Internal}, and every later one Draining, since the
+    // endpoint stops admitting. The client resolves all of them long
+    // before its reply timeout instead of waiting for replies that
+    // never come.
+    const auto *scenario = dag::findScenario("SCN-MEDIA");
+    ASSERT_NE(scenario, nullptr);
+    NetServerOptions so;
+    so.exitAfterLastClient = true;
+    so.drainGraceMs = 500;
+    so.endpoint.workers = 2;
+    so.endpoint.policy.maxBatch = 4;
+    so.endpoint.batching = serve::BatchingMode::Dynamic;
+    NetServer server(*scenario, std::move(so));
+    server.start();
+    core::fault::arm("dag.stage", /*fire_at=*/1);
+
+    NetBenchOptions co;
+    co.benchmarkId = "SCN-MEDIA";
+    co.port = server.boundPort();
+    co.processes = 0;
+    co.connections = 2;
+    co.queries = 16;
+    co.mode = LoadMode::Closed;
+    co.policy.maxBatch = 4;
+    co.batching = serve::BatchingMode::Dynamic;
+    co.replyTimeoutMs = 20000;
+    const NetBenchResult client = runNetBench(co);
+    EXPECT_LT(client.wallSeconds, 10.0);
+    EXPECT_EQ(client.errors, 0u);
+    EXPECT_EQ(client.replies + client.shed, 16u);
+    EXPECT_GE(client.shed, 1u);
+
+    server.waitStopped();
+    EXPECT_THROW(server.stop(), core::fault::FaultInjected);
+    std::uint64_t errorsSent = 0;
+    for (const ConnectionStats &c : server.stop().connections)
+        errorsSent += c.errorsSent;
+    EXPECT_EQ(errorsSent, client.shed);
 }

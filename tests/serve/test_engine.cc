@@ -1,7 +1,8 @@
 /**
  * @file
  * ServingEngine behaviour: closed-loop accounting, open-loop
- * overload shedding, option validation, and the determinism
+ * overload shedding, option validation, single-query inference
+ * (closed loop, batch 1, one worker), and the determinism
  * guarantees of replay mode — identical batch composition and
  * bitwise-identical model outputs regardless of worker count, a
  * repeatable latency stream, and the >= 2x dynamic-batching win on
@@ -59,11 +60,6 @@ TEST(ServingEngine, RejectsNonsensicalOptions)
     options = ServingOptions();
     options.mode = DriveMode::OpenLoop;
     options.qps = 0.0;
-    EXPECT_THROW(serve::serveBenchmark(c1(), options),
-                 std::invalid_argument);
-
-    options = ServingOptions();
-    options.mode = DriveMode::Replay;
     EXPECT_THROW(serve::serveBenchmark(c1(), options),
                  std::invalid_argument);
 }
@@ -226,4 +222,43 @@ TEST(ServingEngine, DefaultServePathCoversUnbatchedTasks)
     EXPECT_EQ(report.completed, 12);
     EXPECT_EQ(report.rejected, 0);
     EXPECT_EQ(report.latency.count(), 12u);
+}
+
+namespace {
+
+/** Single-query inference (Sec. 4.2.1): batch 1 on one worker. */
+ServingReport
+inferenceOf(const char *id, int queries)
+{
+    ServingOptions options;
+    options.mode = DriveMode::ClosedLoop;
+    options.workers = 1;
+    options.policy.maxBatch = 1;
+    options.queries = queries;
+    options.warmupQueries = 1;
+    options.seed = 7;
+    return serve::serveBenchmark(*core::findBenchmark(id), options);
+}
+
+} // namespace
+
+TEST(Inference, MeasuresLatencyDistribution)
+{
+    const ServingReport r = inferenceOf("DC-AI-C16", 12);
+    EXPECT_EQ(r.completed, 12);
+    EXPECT_DOUBLE_EQ(r.meanBatchSize(), 1.0);
+    EXPECT_GT(r.latency.meanUs(), 0.0);
+    EXPECT_LE(r.latencyMsP(50), r.latencyMsP(90));
+    EXPECT_LE(r.latencyMsP(90), r.latencyMsP(99));
+    EXPECT_LE(r.latencyMsP(99), r.latencyMsP(100));
+    EXPECT_GT(r.throughputQps, 0.0);
+    EXPECT_GT(r.simServiceMsPerQuery, 0.0);
+    EXPECT_GT(r.energyPerQueryMj, 0.0);
+}
+
+TEST(Inference, HeavierModelHasHigherSimulatedLatency)
+{
+    const ServingReport light = inferenceOf("DC-AI-C16", 4);
+    const ServingReport heavy = inferenceOf("DC-AI-C9", 4);
+    EXPECT_GT(heavy.simServiceMsPerQuery, light.simServiceMsPerQuery);
 }

@@ -10,12 +10,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,7 +29,6 @@
 #include "core/checkpoint.h"
 #include "core/cost.h"
 #include "core/faultinject.h"
-#include "core/inference.h"
 #include "core/registry.h"
 #include "core/runner.h"
 #include "core/subset.h"
@@ -52,12 +53,23 @@ namespace {
 
 int usage();
 
+/** Whole-number value of @p flag; throws std::invalid_argument on
+ *  anything else (main turns that into exit 2). */
 long
 argValue(int argc, char **argv, const char *flag, long fallback)
 {
     for (int i = 0; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], flag) == 0)
-            return std::strtol(argv[i + 1], nullptr, 10);
+        if (std::strcmp(argv[i], flag) != 0)
+            continue;
+        const char *text = argv[i + 1];
+        char *end = nullptr;
+        errno = 0;
+        const long value = std::strtol(text, &end, 10);
+        if (end == text || *end != '\0' || errno == ERANGE)
+            throw std::invalid_argument(std::string(flag) +
+                                        " wants a whole number, got '" +
+                                        text + "'");
+        return value;
     }
     return fallback;
 }
@@ -388,30 +400,6 @@ cmdCharacterize(int argc, char **argv)
             core::traceTrainingEpochs(*b, options.seed, 0, 1);
         std::printf("\n%s", profiler::toCsv(trace).c_str());
     }
-    return 0;
-}
-
-int
-cmdInference(int argc, char **argv)
-{
-    if (argc < 1)
-        return usage();
-    const auto *b = requireBenchmark(argv[0]);
-    core::InferenceOptions options;
-    options.queries =
-        static_cast<int>(argValue(argc, argv, "--queries", 50));
-    options.trainEpochs = 1;
-    core::InferenceResult r = core::measureInference(*b, 42, options);
-    std::printf("%s inference over %d queries:\n", b->info.id.c_str(),
-                r.queries);
-    std::printf("  latency mean/p50/p90/p99/max: "
-                "%.3f / %.3f / %.3f / %.3f / %.3f ms\n",
-                r.meanLatencyMs, r.p50LatencyMs, r.p90LatencyMs,
-                r.p99LatencyMs, r.maxLatencyMs);
-    std::printf("  host throughput: %.0f qps\n", r.throughputQps);
-    std::printf("  simulated (%s): %.4f ms, %.4f mJ per query\n",
-                options.device.name.c_str(), r.simulatedLatencyMs,
-                r.simulatedEnergyMj);
     return 0;
 }
 
@@ -1051,8 +1039,9 @@ cmdNetserve(int argc, char **argv)
     }
 
     server.waitStopped();
-    const net::NetServerStats stats = server.stop();
+    // Unhooked first: stop() rethrows the error of a failed batch.
     g_netserver.store(nullptr);
+    const net::NetServerStats stats = server.stop();
 
     std::printf("{\n  \"schema\": \"aib.netserve.server/1\",\n");
     std::printf("  \"benchmark\": \"%s\",\n", b->info.id.c_str());
@@ -1343,9 +1332,6 @@ constexpr Command kCommands[] = {
     {"characterize", "<id> [--csv]",
      "parameters, FLOPs, microarch metrics, runtime breakdown",
      cmdCharacterize},
-    {"inference", "<id> [--queries N]",
-     "latency / tail latency / throughput / energy per query",
-     cmdInference},
     {"lint", "[--all | <id> | SCN-*] [--seed N] [--json] [--out FILE]",
      "graph auditor: static FLOP/shape cross-check + lint rules",
      cmdLint},
@@ -1393,8 +1379,14 @@ main(int argc, char **argv)
     if (argc < 2)
         return usage();
     for (const Command &c : kCommands) {
-        if (std::strcmp(argv[1], c.name) == 0)
+        if (std::strcmp(argv[1], c.name) != 0)
+            continue;
+        try {
             return c.handler(argc - 2, argv + 2);
+        } catch (const std::exception &e) {
+            std::fprintf(stderr, "aibench %s: %s\n", c.name, e.what());
+            return 2;
+        }
     }
     return usage();
 }
