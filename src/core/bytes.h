@@ -66,6 +66,16 @@ class Reader
     std::size_t remaining() const { return size_ - pos_; }
 
     bool
+    getU8(std::uint8_t *v)
+    {
+        if (remaining() < 1)
+            return false;
+        *v = p_[pos_];
+        pos_ += 1;
+        return true;
+    }
+
+    bool
     getU16(std::uint16_t *v)
     {
         if (remaining() < 2)

@@ -7,7 +7,7 @@
 #include <stdexcept>
 
 #include "core/registry.h"
-#include "core/thread_pool.h"
+#include "serve/endpoint.h"
 #include "tensor/random.h"
 
 namespace aib::dag {
@@ -119,6 +119,32 @@ void buildMedia(Graph &g, std::uint64_t seed)
     g.connect(fan, compress, 0);
 }
 
+/** @p spec as a servable benchmark; makeTask builds a ScenarioTask. */
+core::ComponentBenchmark scenarioBenchmark(const ScenarioSpec &spec)
+{
+    core::ComponentBenchmark b;
+    b.info.id = spec.id;
+    b.info.name = spec.name;
+    std::string model = "DAG(";
+    for (std::size_t i = 0; i < spec.components.size(); ++i) {
+        if (i > 0) {
+            model += " -> ";
+        }
+        model += spec.components[i];
+    }
+    model += ")";
+    b.info.model = std::move(model);
+    b.info.dataset = "synthetic request stream";
+    b.info.metric = "mean stage quality";
+    b.info.target = 0.0;
+    b.info.paperTarget = "n/a (scenario)";
+    b.info.suite = core::Suite::Scenario;
+    b.makeTask = [&spec](std::uint64_t seed) {
+        return std::make_unique<ScenarioTask>(spec, seed);
+    };
+    return b;
+}
+
 } // namespace
 
 const std::vector<ScenarioSpec> &scenarioSpecs()
@@ -155,28 +181,7 @@ const std::vector<core::ComponentBenchmark> &scenarioSuite()
     static const std::vector<core::ComponentBenchmark> suite = [] {
         std::vector<core::ComponentBenchmark> out;
         for (const ScenarioSpec &spec : scenarioSpecs()) {
-            core::ComponentBenchmark b;
-            b.info.id = spec.id;
-            b.info.name = spec.name;
-            std::string model = "DAG(";
-            for (std::size_t i = 0; i < spec.components.size(); ++i) {
-                if (i > 0) {
-                    model += " -> ";
-                }
-                model += spec.components[i];
-            }
-            model += ")";
-            b.info.model = std::move(model);
-            b.info.dataset = "synthetic request stream";
-            b.info.metric = "mean stage quality";
-            b.info.target = 0.0;
-            b.info.paperTarget = "n/a (scenario)";
-            b.info.suite = core::Suite::Scenario;
-            const ScenarioSpec *specPtr = &spec;
-            b.makeTask = [specPtr](std::uint64_t seed) {
-                return std::make_unique<ScenarioTask>(*specPtr, seed);
-            };
-            out.push_back(std::move(b));
+            out.push_back(scenarioBenchmark(spec));
         }
         return out;
     }();
@@ -268,92 +273,86 @@ ScenarioRunReport runScenario(const ScenarioSpec &spec,
         throw std::invalid_argument(
             "runScenario: queries and batch must be positive");
     }
-    const int workers = std::max(1, options.workers);
 
-    // Fixed request stream: ids 0..queries-1 in fixed-size batches.
-    std::vector<std::vector<int>> batches;
+    // A planned endpoint over a fixed request stream: ids
+    // 0..queries-1 in batch-sized slices. Each batch digest is a pure
+    // function of (spec, seed, ids) and the endpoint folds them in
+    // batch order, so the digest is invariant to the worker count.
+    serve::EndpointOptions eo;
+    eo.workers = std::max(1, options.workers);
+    eo.warmupQueries = 0;
+    eo.seed = options.seed;
+    eo.batching = serve::BatchingMode::Planned;
     for (int q = 0; q < options.queries; q += options.batch) {
-        std::vector<int> ids;
+        serve::BatchPlan batch;
         const int end = std::min(options.queries, q + options.batch);
         for (int i = q; i < end; ++i) {
-            ids.push_back(i);
+            batch.ids.push_back(i);
         }
-        batches.push_back(std::move(ids));
+        eo.plan.push_back(std::move(batch));
     }
-    const std::int64_t nbatches = static_cast<std::int64_t>(batches.size());
-
-    // Bitwise-identical pipeline replicas (serve engine idiom).
-    std::vector<std::unique_ptr<ScenarioTask>> replicas;
-    replicas.reserve(static_cast<std::size_t>(workers));
-    for (int w = 0; w < workers; ++w) {
-        aib::seedGlobalRng(options.seed);
-        replicas.push_back(std::make_unique<ScenarioTask>(
-            spec, options.seed, options.dagWorkers));
-    }
-
-    // Static contiguous batch partition: batch b's digest is computed
-    // by exactly one replica and is a pure function of (spec, seed,
-    // ids), so the digest stream is invariant to the worker count.
-    std::vector<double> digests(static_cast<std::size_t>(nbatches), 0.0);
-    const std::int64_t per = (nbatches + workers - 1) / workers;
+    const core::ComponentBenchmark benchmark = scenarioBenchmark(spec);
+    serve::ServingEndpoint endpoint(benchmark, eo, nullptr);
     const auto start = std::chrono::steady_clock::now();
-    core::ThreadPool pool(workers);
-    pool.parallelForChunked(
-        0, workers, 1, [&](int, std::int64_t wb, std::int64_t) {
-            const int w = static_cast<int>(wb);
-            const std::int64_t lo = w * per;
-            const std::int64_t hi = std::min(nbatches, lo + per);
-            for (std::int64_t b = lo; b < hi; ++b) {
-                digests[static_cast<std::size_t>(b)] =
-                    replicas[static_cast<std::size_t>(w)]
-                        ->executeBatch(
-                            batches[static_cast<std::size_t>(b)])
-                        .digest;
-            }
-        });
+    serve::Request request;
+    for (int id = 0; id < options.queries; ++id) {
+        request.id = id;
+        request.enqueue = std::chrono::steady_clock::now();
+        endpoint.submit(request);
+    }
+    endpoint.drain();
     const double wallSeconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       start)
             .count();
 
+    // Per-stage statistics live in each replica's DAG executor.
+    std::vector<const Executor *> executors;
+    for (int w = 0; w < eo.workers; ++w) {
+        executors.push_back(
+            &static_cast<const ScenarioTask &>(endpoint.replica(w))
+                 .executor());
+    }
     ScenarioRunReport report;
     report.scenarioId = spec.id;
     report.name = spec.name;
     report.components = spec.components;
     report.queries = options.queries;
     report.batch = options.batch;
-    report.workers = workers;
-    report.dagWorkers = options.dagWorkers;
+    report.workers = eo.workers;
+    report.dagWorkers = executors.front()->workers();
     report.seed = options.seed;
-    report.batchDigests = digests;
-    for (double d : digests) {
-        report.digest += d;
+    for (const serve::PlannedBatchResult &b : endpoint.plannedBatches()) {
+        report.batchDigests.push_back(b.digest);
     }
+    report.digest = endpoint.sessionDigest();
     report.wallSeconds = wallSeconds;
     report.throughputQps =
         wallSeconds > 0.0 ? options.queries / wallSeconds : 0.0;
 
-    Graph &graph = replicas.front()->graph();
+    const Graph &graph =
+        static_cast<const ScenarioTask &>(endpoint.replica(0)).graph();
     for (NodeId id : graph.topoOrder()) {
         ScenarioStageReport stage;
         stage.node = id;
         stage.stage = graph.node(id).name();
         if (graph.node(id).isTask()) {
             stage.benchmarkId =
-                static_cast<TaskNode &>(graph.node(id)).benchmarkId();
+                static_cast<const TaskNode &>(graph.node(id))
+                    .benchmarkId();
         }
         profiler::TraceSession trace;
-        for (const auto &replica : replicas) {
-            stage.latency.merge(replica->executor().stageLatency(id));
-            trace.merge(replica->executor().stageTrace(id));
+        for (const Executor *executor : executors) {
+            stage.latency.merge(executor->stageLatency(id));
+            trace.merge(executor->stageTrace(id));
         }
         stage.launches = trace.totalLaunches();
         stage.flops = trace.totalFlops();
         stage.bytes = trace.totalBytes();
         report.stages.push_back(std::move(stage));
     }
-    for (const auto &replica : replicas) {
-        report.endToEnd.merge(replica->executor().endToEndLatency());
+    for (const Executor *executor : executors) {
+        report.endToEnd.merge(executor->endToEndLatency());
     }
     return report;
 }

@@ -83,8 +83,8 @@ class ScenarioTask : public core::TrainableTask
     ExecResult executeBatch(const std::vector<int> &ids);
 
     const ScenarioSpec &spec() const { return spec_; }
-    Graph &graph() { return graph_; }
-    Executor &executor() { return *executor_; }
+    const Graph &graph() const { return graph_; }
+    const Executor &executor() const { return *executor_; }
     const std::vector<TaskNode *> &taskNodes() const { return taskNodes_; }
 
   private:
@@ -99,7 +99,6 @@ struct ScenarioRunOptions {
     int queries = 64;    ///< total requests, ids 0..queries-1
     int batch = 8;       ///< fixed request-batch size
     int workers = 2;     ///< pipeline replicas served in parallel
-    int dagWorkers = 2;  ///< stage workers inside each replica
     std::uint64_t seed = 42;
 };
 
@@ -122,7 +121,7 @@ struct ScenarioRunReport {
     int queries = 0;
     int batch = 0;
     int workers = 0;
-    int dagWorkers = 0;
+    int dagWorkers = 0; ///< stage workers inside each replica
     std::uint64_t seed = 0;
 
     /** Fixed batch-order fold over per-batch digests. */
@@ -137,10 +136,11 @@ struct ScenarioRunReport {
 };
 
 /**
- * Run @p spec over a fixed request stream: @c workers replicas are
- * built deterministically, batches are partitioned statically, and
- * the report's digest is bitwise invariant to @c workers and
- * @c dagWorkers.
+ * Run @p spec over a fixed request stream on a planned
+ * @c serve::ServingEndpoint: @c workers replicas (each with the
+ * @c ScenarioTask default of DAG workers) are built
+ * deterministically, every id is submitted, and the report's digest
+ * is bitwise invariant to @c workers.
  */
 ScenarioRunReport runScenario(const ScenarioSpec &spec,
                               const ScenarioRunOptions &options);

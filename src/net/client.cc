@@ -109,13 +109,13 @@ decodeWorkerOutcome(const std::string &bytes, WorkerOutcome *out,
     if (version != kWorkerVersion)
         return fail("worker blob: unsupported version");
     WorkerOutcome w;
-    std::string conflict;
+    std::uint8_t conflict = 0;
     if (!in.getU64(&w.sent) || !in.getU64(&w.replies) ||
         !in.getU64(&w.shed) || !in.getU64(&w.fatalConns) ||
         !in.getU64(&w.lateSends) || !in.getF64(&w.maxLatenessUs) ||
-        !in.getF64(&w.wallSeconds) || !in.getBytes(&conflict, 1))
+        !in.getF64(&w.wallSeconds) || !in.getU8(&conflict))
         return fail("worker blob: truncated counters");
-    w.digestConflict = conflict[0] != 0;
+    w.digestConflict = conflict != 0;
     std::uint32_t nBatches = 0;
     if (!in.getU32(&nBatches))
         return fail("worker blob: truncated digest count");
@@ -310,9 +310,15 @@ runConnection(const RunPlan &plan, int connIndex)
         return true;
     };
 
-    const auto pump = [&](int timeoutMs) {
+    // Waits with microsecond resolution: the open loop's gaps are
+    // mostly under a millisecond, and a millisecond poll would turn
+    // each into a zero timeout and spin.
+    const auto pump = [&](std::chrono::microseconds wait) {
         pollfd pfd{fd, POLLIN, 0};
-        const int n = ::poll(&pfd, 1, timeoutMs);
+        const timespec ts{static_cast<time_t>(wait.count() / 1000000),
+                          static_cast<long>(wait.count() % 1000000) *
+                              1000};
+        const int n = ::ppoll(&pfd, 1, &ts, nullptr);
         if (n < 0)
             return errno == EINTR;
         if (n == 0)
@@ -348,15 +354,13 @@ runConnection(const RunPlan &plan, int connIndex)
                     sendIdx += 1;
                     continue;
                 }
-                const auto gapMs =
-                    std::chrono::duration_cast<
-                        std::chrono::milliseconds>(scheduled - now)
-                        .count();
-                ok = pump(static_cast<int>(
-                    std::clamp<long long>(gapMs, 0, 5)));
+                ok = pump(std::min<std::chrono::microseconds>(
+                    std::chrono::ceil<std::chrono::microseconds>(
+                        scheduled - now),
+                    std::chrono::milliseconds(5)));
                 continue;
             }
-            ok = pump(50);
+            ok = pump(std::chrono::milliseconds(50));
         }
     } else {
         const int inflight = std::max(1, o.inflight);
@@ -370,7 +374,7 @@ runConnection(const RunPlan &plan, int connIndex)
                 sendIdx += 1;
             }
             if (ok)
-                ok = pump(50);
+                ok = pump(std::chrono::milliseconds(50));
         }
     }
     if (!ok)

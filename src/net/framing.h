@@ -1,10 +1,9 @@
 /**
  * @file
  * Blocking fd-level transport for aib.net/1 frames, built on the
- * EINTR-safe @c core::sysio primitives. The thread-per-connection
- * server and the client connections speak through these; the epoll
- * server reads raw bytes itself and feeds a @c FrameParser, but
- * writes replies with the same @c writeFrame.
+ * EINTR-safe @c core::sysio primitives. The client connections speak
+ * through these; the server reads raw bytes itself and feeds a
+ * @c FrameParser, but writes replies with the same @c writeFrame.
  *
  * Also here: the small socket plumbing the server and client share
  * (listen/connect on a host:port, nonblocking toggles), kept in one

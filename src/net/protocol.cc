@@ -155,16 +155,6 @@ done(const by::Reader &in)
     return in.remaining() == 0;
 }
 
-bool
-getU8(by::Reader *in, std::uint8_t *v)
-{
-    std::string b;
-    if (!in->getBytes(&b, 1))
-        return false;
-    *v = static_cast<std::uint8_t>(static_cast<unsigned char>(b[0]));
-    return true;
-}
-
 } // namespace
 
 bool
@@ -175,7 +165,7 @@ decodeHello(const std::string &payload, HelloMsg *out)
     if (!getString(&in, &m.benchmarkId) || !in.getU64(&m.seed) ||
         !in.getU32(&m.queries) || !in.getF64(&m.qps) ||
         !in.getU32(&m.maxBatch) || !in.getU64(&m.maxDelayUs) ||
-        !getU8(&in, &m.batching) || !done(in))
+        !in.getU8(&m.batching) || !done(in))
         return false;
     *out = std::move(m);
     return true;
@@ -187,7 +177,7 @@ decodeHelloAck(const std::string &payload, HelloAckMsg *out)
     by::Reader in(payload);
     HelloAckMsg m;
     if (!getString(&in, &m.benchmarkId) || !in.getU64(&m.seed) ||
-        !in.getU32(&m.workers) || !getU8(&in, &m.batching) ||
+        !in.getU32(&m.workers) || !in.getU8(&m.batching) ||
         !done(in))
         return false;
     *out = std::move(m);
@@ -284,12 +274,9 @@ FrameParser::next(Frame *out)
     std::uint32_t magic = 0;
     std::uint8_t version = 0, type = 0;
     std::uint32_t length = 0;
-    std::string vt;
     (void)in.getU32(&magic);
-    (void)in.getBytes(&vt, 2);
-    version = static_cast<std::uint8_t>(
-        static_cast<unsigned char>(vt[0]));
-    type = static_cast<std::uint8_t>(static_cast<unsigned char>(vt[1]));
+    (void)in.getU8(&version);
+    (void)in.getU8(&type);
     (void)in.getU32(&length);
 
     const auto poison = [&](const char *why) {

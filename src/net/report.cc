@@ -55,12 +55,10 @@ appendLatencyObject(std::string *out, const char *indent,
 NetserveReport
 buildNetserveReport(const core::ComponentBenchmark &benchmark,
                     const NetBenchOptions &options,
-                    const NetBenchResult &net, const std::string &io,
-                    bool compareInprocess)
+                    const NetBenchResult &net, bool compareInprocess)
 {
     NetserveReport report;
     report.benchmarkId = benchmark.info.id;
-    report.io = io;
     report.options = options;
     report.net = net;
     if (!compareInprocess)
@@ -106,7 +104,8 @@ netserveReportToJson(const NetserveReport &r)
     appendf(&out, "  \"schema\": \"aib.netserve/1\",\n");
     appendf(&out, "  \"benchmark\": \"%s\",\n",
             r.benchmarkId.c_str());
-    appendf(&out, "  \"io\": \"%s\",\n", r.io.c_str());
+    // netserve has one IO model; the field stays for readers.
+    appendf(&out, "  \"io\": \"epoll\",\n");
     appendf(&out, "  \"mode\": \"%s\",\n",
             r.options.mode == LoadMode::Open ? "open" : "closed");
     appendf(&out, "  \"batching\": \"%s\",\n",

@@ -29,7 +29,6 @@ namespace aib::net {
 /** One netbench run plus its in-process reference runs. */
 struct NetserveReport {
     std::string benchmarkId;
-    std::string io;       ///< server IO mode, when known
     NetBenchOptions options;
     NetBenchResult net;
 
@@ -47,8 +46,7 @@ struct NetserveReport {
 NetserveReport
 buildNetserveReport(const core::ComponentBenchmark &benchmark,
                     const NetBenchOptions &options,
-                    const NetBenchResult &net, const std::string &io,
-                    bool compareInprocess);
+                    const NetBenchResult &net, bool compareInprocess);
 
 /** The aib.netserve/1 JSON document (no trailing newline). */
 std::string netserveReportToJson(const NetserveReport &report);

@@ -5,21 +5,18 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
-#include <deque>
 #include <exception>
 #include <mutex>
 #include <stdexcept>
 #include <unordered_map>
 
 #include <fcntl.h>
-#include <poll.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include "core/faultinject.h"
 #include "core/sysio.h"
-#include "core/thread_pool.h"
 #include "net/framing.h"
 
 namespace aib::net {
@@ -38,33 +35,13 @@ bitsOf(double v)
 
 } // namespace
 
-bool
-parseIoMode(const std::string &text, IoMode *out)
-{
-    if (text == "epoll") {
-        *out = IoMode::Epoll;
-        return true;
-    }
-    if (text == "threads") {
-        *out = IoMode::Threads;
-        return true;
-    }
-    return false;
-}
-
-const char *
-ioModeName(IoMode mode)
-{
-    return mode == IoMode::Epoll ? "epoll" : "threads";
-}
-
-/** One accepted connection. The owning handler (epoll loop or a
- *  handler-pool thread) is the only reader; serving workers write
- *  replies under @c writeMutex, which also guards fd lifetime. */
+/** One accepted connection. The event loop is the only reader;
+ *  serving workers write replies under @c writeMutex, which also
+ *  guards fd lifetime. */
 struct NetServer::Conn {
     int fd = -1;            ///< -1 once closed; guarded by writeMutex
     std::size_t index = 0;  ///< accept order
-    FrameParser parser;     ///< epoll mode only
+    FrameParser parser;
     std::mutex writeMutex;
     bool open = true;       ///< guarded by writeMutex; false = no writes
     bool retired = false;   ///< guarded by Impl::connMutex
@@ -84,6 +61,10 @@ struct NetServer::Conn {
 };
 
 struct NetServer::Impl {
+    Impl(const core::ComponentBenchmark &b, NetServerOptions o)
+        : benchmark(b), options(std::move(o))
+    {}
+
     const core::ComponentBenchmark &benchmark;
     NetServerOptions options;
 
@@ -107,14 +88,9 @@ struct NetServer::Impl {
     std::size_t openConns = 0;
     std::uint64_t accepted = 0;
 
-    /** Epoll loop only: a fault-killed connection was the last one
-     *  open (folded into the loop's exit-linger decision). */
+    /** A fault-killed connection was the last one open (folded into
+     *  the event loop's exit-linger decision). */
     bool faultLastGone = false;
-
-    /** Threads mode: a handler retired the last open connection at
-     *  @c lingerAtNs; the acceptor owns the exit decision. */
-    std::atomic<bool> lingerArmed{false};
-    std::atomic<std::int64_t> lingerAtNs{0};
 
     struct Pending {
         std::shared_ptr<Conn> conn;
@@ -395,10 +371,15 @@ struct NetServer::Impl {
     /** Retire a connection (idempotent); true when this was the last
      *  open one and at least one client ever connected. */
     bool
-    retireConn(Conn &conn, bool faultKilled)
+    retireConn(Conn &conn, int ep, bool faultKilled)
     {
         if (faultKilled)
             conn.stats.faultKilled = true;
+        {
+            std::lock_guard<std::mutex> lock(conn.writeMutex);
+            if (conn.open && conn.fd >= 0)
+                ::epoll_ctl(ep, EPOLL_CTL_DEL, conn.fd, nullptr);
+        }
         conn.closeNow();
         // Leaving the pending entries would only drop replies on the
         // closed socket; removing them keeps the map small.
@@ -412,7 +393,7 @@ struct NetServer::Impl {
                openConns == 0;
     }
 
-    // ---- epoll IO mode ----
+    // ---- the event loop ----
 
     void
     runEpoll()
@@ -477,8 +458,7 @@ struct NetServer::Impl {
                 }
                 auto *conn = static_cast<Conn *>(ptr);
                 if (!serviceReadable(*conn, ep))
-                    lastClientGone |=
-                        retireConnEpoll(*conn, ep, false);
+                    lastClientGone |= retireConn(*conn, ep, false);
             }
             lastClientGone |= faultLastGone;
             faultLastGone = false;
@@ -538,20 +518,9 @@ struct NetServer::Impl {
             snapshot = conns;
         }
         for (const auto &c : snapshot)
-            retireConnEpoll(*c, ep, false);
+            retireConn(*c, ep, false);
         ::close(ep);
         markIoDone();
-    }
-
-    bool
-    retireConnEpoll(Conn &conn, int ep, bool faultKilled)
-    {
-        {
-            std::lock_guard<std::mutex> lock(conn.writeMutex);
-            if (conn.open && conn.fd >= 0)
-                ::epoll_ctl(ep, EPOLL_CTL_DEL, conn.fd, nullptr);
-        }
-        return retireConn(conn, faultKilled);
     }
 
     /** One readiness-driven read + frame dispatch. Returns false
@@ -589,192 +558,11 @@ struct NetServer::Impl {
                     if (!handleFrame(conn, frame))
                         return false;
                 } catch (const core::fault::FaultInjected &) {
-                    if (retireConnEpoll(conn, ep, true))
+                    if (retireConn(conn, ep, true))
                         faultLastGone = true;
                     return true; // already retired
                 }
                 break;
-            }
-        }
-    }
-
-    // ---- threads IO mode ----
-
-    struct AcceptQueue {
-        std::mutex mutex;
-        std::condition_variable cv;
-        std::deque<std::shared_ptr<Conn>> queue;
-        bool closed = false;
-    };
-
-    void
-    runThreads()
-    {
-        AcceptQueue acceptQueue;
-        std::thread acceptor([this, &acceptQueue] {
-            for (;;) {
-                pollfd fds[2] = {{listenFd, POLLIN, 0},
-                                 {wakeRead, POLLIN, 0}};
-                // Bounded poll so the exit-linger window below is
-                // observed without a dedicated timer.
-                const int n = ::poll(fds, 2, 20);
-                if (n < 0) {
-                    if (errno == EINTR)
-                        continue;
-                    break;
-                }
-                if (fds[1].revents != 0 ||
-                    stopping.load(std::memory_order_relaxed))
-                    break;
-                if (fds[0].revents != 0) {
-                    const int fd = ::accept4(listenFd, nullptr,
-                                             nullptr, SOCK_CLOEXEC);
-                    if (fd >= 0) {
-                        auto conn = registerConn(fd);
-                        {
-                            std::lock_guard<std::mutex> lock(
-                                acceptQueue.mutex);
-                            acceptQueue.queue.push_back(
-                                std::move(conn));
-                        }
-                        acceptQueue.cv.notify_one();
-                        lingerArmed.store(
-                            false, std::memory_order_relaxed);
-                    }
-                }
-                // exitAfterLastClient, armed by a handler: exit only
-                // if the linger window passes with nothing open — a
-                // fresh accept (above) or still-open connection
-                // cancels it.
-                if (lingerArmed.load(std::memory_order_acquire)) {
-                    std::size_t open;
-                    {
-                        std::lock_guard<std::mutex> lock(connMutex);
-                        open = openConns;
-                    }
-                    if (open > 0) {
-                        lingerArmed.store(false,
-                                          std::memory_order_relaxed);
-                    } else {
-                        const Clock::time_point armed{Clock::duration(
-                            lingerAtNs.load(
-                                std::memory_order_relaxed))};
-                        if (Clock::now() - armed >=
-                            std::chrono::milliseconds(
-                                options.exitLingerMs)) {
-                            requestStopImpl();
-                            break;
-                        }
-                    }
-                }
-            }
-            // Resets connections still in the accept queue: their
-            // clients get an error, never a silent hang.
-            ::close(listenFd);
-            listenFd = -1;
-            {
-                std::lock_guard<std::mutex> lock(acceptQueue.mutex);
-                acceptQueue.closed = true;
-            }
-            acceptQueue.cv.notify_all();
-        });
-
-        // Thread-per-connection on a dedicated pool: each chunk is
-        // one handler thread serving one connection at a time.
-        core::ThreadPool pool(options.maxConnections);
-        pool.parallelForChunked(
-            0, options.maxConnections, 1,
-            [this, &acceptQueue](int, std::int64_t, std::int64_t) {
-                handlerLoop(acceptQueue);
-            });
-        acceptor.join();
-        markIoDone();
-    }
-
-    void
-    handlerLoop(AcceptQueue &acceptQueue)
-    {
-        for (;;) {
-            std::shared_ptr<Conn> conn;
-            {
-                std::unique_lock<std::mutex> lock(acceptQueue.mutex);
-                acceptQueue.cv.wait(lock, [&] {
-                    return !acceptQueue.queue.empty() ||
-                           acceptQueue.closed;
-                });
-                if (acceptQueue.queue.empty())
-                    return; // closed and drained
-                conn = std::move(acceptQueue.queue.front());
-                acceptQueue.queue.pop_front();
-            }
-            if (serveConnThreaded(*conn)) {
-                lingerAtNs.store(
-                    Clock::now().time_since_epoch().count(),
-                    std::memory_order_relaxed);
-                lingerArmed.store(true, std::memory_order_release);
-            }
-        }
-    }
-
-    /** Blocking read loop for one connection (threads mode). Returns
-     *  true when its retirement should stop the server. */
-    bool
-    serveConnThreaded(Conn &conn)
-    {
-        bool draining = false;
-        Clock::time_point deadline{};
-        for (;;) {
-            if (!draining &&
-                stopping.load(std::memory_order_relaxed)) {
-                draining = true;
-                deadline = Clock::now() +
-                           std::chrono::milliseconds(
-                               options.drainGraceMs);
-            }
-            if (draining && Clock::now() >= deadline)
-                return retireConn(conn, false);
-
-            int fd;
-            {
-                std::lock_guard<std::mutex> lock(conn.writeMutex);
-                if (!conn.open)
-                    return retireConn(conn, false);
-                fd = conn.fd;
-            }
-            pollfd pfd{fd, POLLIN, 0};
-            // Bounded poll so the loop notices stopping / the drain
-            // deadline without a wake channel per connection.
-            const int n = ::poll(&pfd, 1, 50);
-            if (n < 0) {
-                if (errno == EINTR)
-                    continue;
-                return retireConn(conn, false);
-            }
-            if (n == 0)
-                continue;
-            if ((pfd.revents & (POLLIN | POLLHUP | POLLERR)) == 0)
-                continue;
-
-            Frame frame;
-            std::string err;
-            switch (readFrame(fd, &frame, &err)) {
-            case IoStatus::Ok:
-                break;
-            case IoStatus::Eof:
-                return retireConn(conn, false);
-            case IoStatus::Corrupt:
-                conn.stats.parseCorrupt = true;
-                sendError(conn, StatusCode::BadFrame, 0, err);
-                return retireConn(conn, false);
-            case IoStatus::Error:
-                return retireConn(conn, false);
-            }
-            conn.stats.bytesIn += kHeaderSize + frame.payload.size();
-            try {
-                if (!handleFrame(conn, frame))
-                    return retireConn(conn, false);
-            } catch (const core::fault::FaultInjected &) {
-                return retireConn(conn, true);
             }
         }
     }
@@ -840,10 +628,7 @@ NetServer::start()
         });
 
     Impl *impl = impl_.get();
-    if (impl->options.io == IoMode::Epoll)
-        impl->ioThread = std::thread([impl] { impl->runEpoll(); });
-    else
-        impl->ioThread = std::thread([impl] { impl->runThreads(); });
+    impl->ioThread = std::thread([impl] { impl->runEpoll(); });
     impl->started.store(true);
 }
 

@@ -5,19 +5,11 @@
  * The server decodes aib.net/1 queries into the same admission /
  * batcher / worker-replica path the in-process engine uses
  * (@c serve::ServingEndpoint) and streams each request's batch
- * digest back on the connection that sent it. Two selectable IO
- * models (--io epoll|threads):
- *
- *  - @c Epoll: one event-loop thread multiplexes the listen socket
- *    and every connection (level-triggered epoll over blocking fds:
- *    readiness means one read() cannot block). Reads feed a
- *    per-connection @c FrameParser; replies are written from the
- *    serving workers under a per-connection write lock.
- *
- *  - @c Threads: thread-per-connection on a dedicated
- *    @c core::ThreadPool — an acceptor thread hands sockets to a
- *    fixed pool of handler loops, each running blocking readFrame
- *    on one connection at a time.
+ * digest back on the connection that sent it. One event-loop thread
+ * multiplexes the listen socket and every connection (level-triggered
+ * epoll over blocking fds: readiness means one read() cannot block).
+ * Reads feed a per-connection @c FrameParser; replies are written
+ * from the serving workers under a per-connection write lock.
  *
  * Shutdown is a graceful drain: on @c requestStop (the CLI wires
  * SIGTERM/SIGINT to it through the server's wake pipe, which is
@@ -44,21 +36,22 @@
 
 namespace aib::net {
 
+/**
+ * The server's IO model. The event loop is the only one; the enum,
+ * @c NetServerOptions::io and @c NetServerOptions::maxConnections are
+ * kept, unread, because the repository benchmark's server
+ * (perfbench/net.cc) still assigns them. They go with its next
+ * revision.
+ */
 enum class IoMode {
-    Epoll,   ///< one event-loop thread, level-triggered epoll
-    Threads, ///< thread-per-connection on a dedicated ThreadPool
+    Epoll, ///< one event-loop thread, level-triggered epoll
 };
-
-/** Parse "epoll" / "threads" (false = unrecognized). */
-bool parseIoMode(const std::string &text, IoMode *out);
-const char *ioModeName(IoMode mode);
 
 struct NetServerOptions {
     std::string host = "127.0.0.1";
     int port = 0; ///< 0 = ephemeral; see boundPort() after start
-    IoMode io = IoMode::Epoll;
-    /** Threads mode: handler pool size = max concurrent conns. */
-    int maxConnections = 16;
+    IoMode io = IoMode::Epoll; ///< unread (see IoMode)
+    int maxConnections = 16;   ///< unread (see IoMode)
     /** Grace window between requestStop and force-closing conns. */
     long drainGraceMs = 2000;
     /** Auto-stop once >=1 client connected and all disconnected. */

@@ -1,6 +1,7 @@
 #include "serve/batcher.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace aib::serve {
@@ -19,6 +20,10 @@ planBatches(const std::vector<double> &arrivalUs,
     while (i < n) {
         BatchPlan plan;
         const double t0 = arrivalUs[static_cast<std::size_t>(i)];
+        // A NaN arrival fits no window: the batch would stay empty
+        // and the loop would never advance.
+        if (std::isnan(t0))
+            throw std::invalid_argument("planBatches: NaN arrival");
         const double deadline =
             t0 + static_cast<double>(policy.maxDelayUs);
         int j = i;

@@ -60,6 +60,7 @@ struct BatchPlan {
  * unassigned arrival t0 and absorbs arrivals until it holds maxBatch
  * or the next arrival is later than t0 + maxDelayUs; it closes at
  * the last member's arrival (full) or t0 + maxDelayUs (timeout).
+ * Throws std::invalid_argument on a bad policy or a NaN arrival.
  */
 std::vector<BatchPlan> planBatches(const std::vector<double> &arrivalUs,
                                    const BatchPolicy &policy);

@@ -366,4 +366,10 @@ ServingEndpoint::peakQueueDepth() const
     return queue_ ? queue_->peakDepth() : 0;
 }
 
+const core::TrainableTask &
+ServingEndpoint::replica(int w) const
+{
+    return *workers_[static_cast<std::size_t>(w)]->task;
+}
+
 } // namespace aib::serve

@@ -7,8 +7,9 @@
  * with @c TrainableTask::serveBatch, and a completion callback fires
  * once per request on the worker that served it. The network server
  * (docs/NETSERVE.md), the open- and closed-loop drivers of
- * @c serveBenchmark and the planned replay of @c replayTrace
- * (docs/SERVING.md) all serve through it.
+ * @c serveBenchmark, the planned replay of @c replayTrace
+ * (docs/SERVING.md) and @c dag::runScenario (docs/SCENARIOS.md) all
+ * serve through it.
  *
  * Two batching modes:
  *
@@ -185,6 +186,8 @@ class ServingEndpoint
     {
         return planned_;
     }
+    /** Worker @p w's replica, with whatever statistics it kept. */
+    const core::TrainableTask &replica(int w) const;
 
     const EndpointOptions &options() const { return options_; }
 

@@ -1,5 +1,6 @@
 #include "serve/loadgen.h"
 
+#include <cmath>
 #include <random>
 #include <stdexcept>
 
@@ -8,8 +9,9 @@ namespace aib::serve {
 std::vector<double>
 poissonTrace(std::uint64_t seed, double qps, int queries)
 {
-    if (qps <= 0.0)
-        throw std::invalid_argument("poissonTrace: qps must be > 0");
+    if (!std::isfinite(qps) || qps <= 0.0)
+        throw std::invalid_argument(
+            "poissonTrace: qps must be finite and > 0");
     if (queries < 0)
         throw std::invalid_argument("poissonTrace: negative count");
     std::mt19937_64 engine(seed);
@@ -27,8 +29,9 @@ poissonTrace(std::uint64_t seed, double qps, int queries)
 std::vector<double>
 uniformTrace(double qps, int queries)
 {
-    if (qps <= 0.0)
-        throw std::invalid_argument("uniformTrace: qps must be > 0");
+    if (!std::isfinite(qps) || qps <= 0.0)
+        throw std::invalid_argument(
+            "uniformTrace: qps must be finite and > 0");
     if (queries < 0)
         throw std::invalid_argument("uniformTrace: negative count");
     const double gap_us = 1e6 / qps;

@@ -26,7 +26,8 @@ namespace aib::serve {
  * @p queries queries at @p qps mean arrival rate: exponential
  * inter-arrival gaps drawn from a generator seeded with @p seed
  * (a Poisson process, the paper's heavy-traffic model). The trace
- * depends only on the arguments, never on wall clock.
+ * depends only on the arguments, never on wall clock. Throws
+ * std::invalid_argument unless @p qps is finite and > 0.
  */
 std::vector<double> poissonTrace(std::uint64_t seed, double qps,
                                  int queries);

@@ -9,8 +9,9 @@
  *    batch composition, digests and latency streams at any worker
  *    count;
  *  - `runScenario` digests are bitwise invariant to the replica
- *    count, the per-replica DAG worker count, and the global thread
- *    pool width (the AIBENCH_NUM_THREADS knob);
+ *    count and the global thread pool width (the AIBENCH_NUM_THREADS
+ *    knob), and a replica built with any DAG worker count serves the
+ *    run's batch digests;
  *  - closed-loop serving of a scenario completes every query;
  *  - the catalog exposes >= 3 scenarios under Suite::Scenario,
  *    findable by id but NOT merged into core::allBenchmarks().
@@ -156,26 +157,34 @@ TEST(ScenarioDeterminism, RunScenarioDigestIgnoresWorkerKnobs)
     double referenceDigest = 0.0;
     std::vector<double> referenceBatches;
     for (const int workers : {1, 2, 4}) {
-        for (const int dagWorkers : {1, 3}) {
-            options.workers = workers;
-            options.dagWorkers = dagWorkers;
-            const dag::ScenarioRunReport report =
-                dag::runScenario(*spec, options);
-            EXPECT_EQ(report.queries, 16);
-            ASSERT_EQ(report.batchDigests.size(), 4u);
-            if (!have_reference) {
-                have_reference = true;
-                referenceDigest = report.digest;
-                referenceBatches = report.batchDigests;
-                EXPECT_NE(referenceDigest, 0.0);
-                continue;
-            }
-            EXPECT_EQ(report.digest, referenceDigest)
-                << "workers=" << workers
-                << " dagWorkers=" << dagWorkers;
-            EXPECT_EQ(report.batchDigests, referenceBatches)
-                << "workers=" << workers
-                << " dagWorkers=" << dagWorkers;
+        options.workers = workers;
+        const dag::ScenarioRunReport report =
+            dag::runScenario(*spec, options);
+        EXPECT_EQ(report.queries, 16);
+        ASSERT_EQ(report.batchDigests.size(), 4u);
+        if (!have_reference) {
+            have_reference = true;
+            referenceDigest = report.digest;
+            referenceBatches = report.batchDigests;
+            EXPECT_NE(referenceDigest, 0.0);
+            continue;
+        }
+        EXPECT_EQ(report.digest, referenceDigest) << "workers=" << workers;
+        EXPECT_EQ(report.batchDigests, referenceBatches)
+            << "workers=" << workers;
+    }
+
+    // The DAG worker count is a property of the task: replicas built
+    // with any count serve the run's batches bitwise.
+    for (const int dagWorkers : {1, 3}) {
+        aib::seedGlobalRng(options.seed);
+        dag::ScenarioTask task(*spec, options.seed, dagWorkers);
+        for (int b = 0; b < 4; ++b) {
+            const std::vector<int> ids{4 * b, 4 * b + 1, 4 * b + 2,
+                                       4 * b + 3};
+            EXPECT_EQ(task.executeBatch(ids).digest,
+                      referenceBatches[static_cast<std::size_t>(b)])
+                << "dagWorkers=" << dagWorkers << " batch=" << b;
         }
     }
 }
@@ -189,7 +198,6 @@ TEST(ScenarioDeterminism, DigestIgnoresGlobalThreadPoolWidth)
     options.queries = 8;
     options.batch = 4;
     options.workers = 2;
-    options.dagWorkers = 2;
     options.seed = 21;
 
     PoolGuard guard;

@@ -5,10 +5,11 @@
  * processes=0 — so the whole exchange runs under one sanitizer), and
  * the contracts the subsystem exists for: the planned-mode network
  * digest equals the in-process replayTrace fold BITWISE, per-worker
- * histograms merge in the parent, both IO models serve the same
- * bytes, scenarios (SCN-*) serve like component benchmarks, dynamic
- * mode sheds under pressure instead of collapsing, and a config
- * fingerprint mismatch dies at the handshake.
+ * histograms merge in the parent, two dozen connections share the
+ * one event loop, scenarios (SCN-*) serve like component
+ * benchmarks, dynamic mode sheds under pressure instead of
+ * collapsing, and a config fingerprint mismatch dies at the
+ * handshake.
  */
 
 #include <cerrno>
@@ -58,7 +59,6 @@ target(const char *id)
 
 struct SessionConfig {
     const char *benchmarkId = "DC-AI-C1";
-    IoMode io = IoMode::Epoll;
     serve::BatchingMode batching = serve::BatchingMode::Planned;
     LoadMode load = LoadMode::Open;
     int queries = 48;
@@ -82,7 +82,6 @@ runLoopback(const SessionConfig &cfg)
     const core::ComponentBenchmark &bench = target(cfg.benchmarkId);
 
     NetServerOptions so;
-    so.io = cfg.io;
     so.exitAfterLastClient = true;
     so.endpoint.workers = cfg.workers;
     so.endpoint.queueCapacity = cfg.queueCapacity;
@@ -181,17 +180,28 @@ TEST(NetServe, EpollPlannedDigestMatchesReplayBitwise)
     }
 }
 
-TEST(NetServe, ThreadsIoServesTheSameDigest)
+TEST(NetServe, TwentyFourConnectionsMatchReplayBitwise)
 {
+    // More connections than any other session here, all on the one
+    // event loop.
     SessionConfig cfg;
-    cfg.io = IoMode::Threads;
-    cfg.connections = 6;
+    cfg.queries = 96;
+    cfg.connections = 24;
     const SessionOutcome out = runLoopback(cfg);
 
-    EXPECT_EQ(out.client.replies, 48u);
+    EXPECT_EQ(out.client.replies, 96u);
+    EXPECT_EQ(out.client.errors, 0u);
     ASSERT_TRUE(out.client.digestComplete);
     EXPECT_EQ(bitsOf(out.client.digest), bitsOf(replayFold(cfg)));
-    EXPECT_EQ(out.server.connections.size(), 6u);
+    EXPECT_EQ(bitsOf(out.server.sessionDigest),
+              bitsOf(out.client.digest));
+    ASSERT_EQ(out.server.connections.size(), 24u);
+    for (const ConnectionStats &c : out.server.connections) {
+        EXPECT_TRUE(c.helloOk);
+        EXPECT_TRUE(c.sawBye);
+        EXPECT_EQ(c.queries, 4u);
+        EXPECT_EQ(c.queries, c.replies);
+    }
 }
 
 TEST(NetServe, ScenarioServesOverTheWire)
@@ -313,14 +323,11 @@ readFrameWithin(int fd, Frame *frame, int timeoutMs)
 
 } // namespace
 
-class NetServeLinger : public ::testing::TestWithParam<IoMode> {};
-
-TEST_P(NetServeLinger, AdmitsAConnectionArrivingAfterTheLastClientLeft)
+TEST(NetServeLinger, AdmitsAConnectionArrivingAfterTheLastClientLeft)
 {
     const core::ComponentBenchmark &bench = target("DC-AI-C1");
 
     NetServerOptions so;
-    so.io = GetParam();
     so.exitAfterLastClient = true;
     so.endpoint.workers = 1;
     so.endpoint.seed = 42;
@@ -395,10 +402,3 @@ TEST_P(NetServeLinger, AdmitsAConnectionArrivingAfterTheLastClientLeft)
     EXPECT_TRUE(stats.connections[1].helloOk);
     EXPECT_EQ(stats.connections[1].replies, 1u);
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    BothIoModes, NetServeLinger,
-    ::testing::Values(IoMode::Epoll, IoMode::Threads),
-    [](const ::testing::TestParamInfo<IoMode> &info) {
-        return std::string(ioModeName(info.param));
-    });

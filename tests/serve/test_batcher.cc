@@ -1,18 +1,22 @@
 /**
  * @file
  * The dynamic batcher: planBatches as a pure policy function (edge
- * cases and a coverage property) and the AdmissionQueue runtime
- * (shedding at capacity, timeout dispatch, close-and-drain).
+ * cases and a coverage property), the arrival traces it is fed, and
+ * the AdmissionQueue runtime (shedding at capacity, timeout
+ * dispatch, close-and-drain).
  */
 
 #include <chrono>
+#include <limits>
 #include <numeric>
 #include <random>
+#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "serve/batcher.h"
+#include "serve/loadgen.h"
 
 using aib::serve::AdmissionQueue;
 using aib::serve::BatchPlan;
@@ -146,6 +150,31 @@ TEST(PlanBatches, RejectsBadPolicy)
     bad_delay.maxDelayUs = -1;
     EXPECT_THROW(planBatches({0.0}, bad_delay),
                  std::invalid_argument);
+}
+
+TEST(PlanBatches, RejectsNaNArrival)
+{
+    // A NaN arrival fits no delay window: planning it must fail
+    // instead of appending empty batches forever.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(planBatches({nan}, BatchPolicy{}),
+                 std::invalid_argument);
+    EXPECT_THROW(planBatches({0.0, 10.0, nan, 20.0}, BatchPolicy{}),
+                 std::invalid_argument);
+}
+
+TEST(ArrivalTraces, RejectNonFiniteRates)
+{
+    for (const double qps : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             0.0, -5.0}) {
+        EXPECT_THROW(aib::serve::poissonTrace(1, qps, 4),
+                     std::invalid_argument)
+            << qps;
+        EXPECT_THROW(aib::serve::uniformTrace(qps, 4),
+                     std::invalid_argument)
+            << qps;
+    }
 }
 
 TEST(AdmissionQueue, ShedsAtCapacity)

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -84,6 +85,25 @@ argString(int argc, char **argv, const char *flag, const char *fallback)
     return fallback;
 }
 
+/** Finite real value > 0 of @p flag, read from the whole token;
+ *  throws std::invalid_argument on anything else (exit 2). */
+double
+argRate(int argc, char **argv, const char *flag, double fallback)
+{
+    const char *text = argString(argc, argv, flag, nullptr);
+    if (!text)
+        return fallback;
+    char *end = nullptr;
+    errno = 0;
+    const double value = std::strtod(text, &end);
+    if (end == text || *end != '\0' || errno == ERANGE ||
+        !std::isfinite(value) || !(value > 0.0))
+        throw std::invalid_argument(std::string(flag) +
+                                    " wants a finite number > 0, got '" +
+                                    text + "'");
+    return value;
+}
+
 bool
 hasFlag(int argc, char **argv, const char *flag)
 {
@@ -122,17 +142,14 @@ positionalArg(int argc, char **argv)
                 std::strcmp(argv[i], "--concurrency") == 0 ||
                 std::strcmp(argv[i], "--train-epochs") == 0 ||
                 std::strcmp(argv[i], "--run") == 0 ||
-                std::strcmp(argv[i], "--dag-workers") == 0 ||
                 std::strcmp(argv[i], "--host") == 0 ||
                 std::strcmp(argv[i], "--port") == 0 ||
                 std::strcmp(argv[i], "--port-file") == 0 ||
-                std::strcmp(argv[i], "--io") == 0 ||
                 std::strcmp(argv[i], "--batching") == 0 ||
                 std::strcmp(argv[i], "--processes") == 0 ||
                 std::strcmp(argv[i], "--connections") == 0 ||
                 std::strcmp(argv[i], "--inflight") == 0 ||
-                std::strcmp(argv[i], "--grace-ms") == 0 ||
-                std::strcmp(argv[i], "--max-conns") == 0)
+                std::strcmp(argv[i], "--grace-ms") == 0)
                 ++i;
             continue;
         }
@@ -838,20 +855,15 @@ cmdServe(int argc, char **argv)
     options.seed = static_cast<std::uint64_t>(
         argValue(argc, argv, "--seed", 42));
 
-    const char *qps_str = argString(argc, argv, "--qps", nullptr);
-    const bool closed = hasFlag(argc, argv, "--closed");
-    if (qps_str && closed) {
+    const bool open = argString(argc, argv, "--qps", nullptr) != nullptr;
+    if (open && hasFlag(argc, argv, "--closed")) {
         std::fprintf(stderr,
                      "serve: --qps and --closed are exclusive\n");
         return 2;
     }
-    if (qps_str) {
+    if (open) {
         options.mode = serve::DriveMode::OpenLoop;
-        options.qps = std::strtod(qps_str, nullptr);
-        if (!(options.qps > 0.0)) {
-            std::fprintf(stderr, "serve: --qps must be > 0\n");
-            return 2;
-        }
+        options.qps = argRate(argc, argv, "--qps", 0.0);
     } else {
         options.mode = serve::DriveMode::ClosedLoop;
     }
@@ -938,13 +950,6 @@ parseBatchingFlag(int argc, char **argv, serve::BatchingMode *out)
     return false;
 }
 
-double
-parseQps(int argc, char **argv, double fallback)
-{
-    const char *text = argString(argc, argv, "--qps", nullptr);
-    return text ? std::strtod(text, nullptr) : fallback;
-}
-
 /**
  * `aibench netserve <id>`: host a benchmark (or SCN-* scenario)
  * behind the aib.net/1 protocol until SIGTERM/SIGINT (graceful
@@ -964,16 +969,9 @@ cmdNetserve(int argc, char **argv)
     options.host = argString(argc, argv, "--host", "127.0.0.1");
     options.port =
         static_cast<int>(argValue(argc, argv, "--port", 0));
-    options.maxConnections =
-        static_cast<int>(argValue(argc, argv, "--max-conns", 16));
     options.drainGraceMs = argValue(argc, argv, "--grace-ms", 2000);
     options.exitAfterLastClient =
         hasFlag(argc, argv, "--exit-after-last-client");
-    if (!net::parseIoMode(argString(argc, argv, "--io", "epoll"),
-                          &options.io)) {
-        std::fprintf(stderr, "bad --io (want epoll or threads)\n");
-        return 2;
-    }
 
     serve::EndpointOptions &ep = options.endpoint;
     ep.workers =
@@ -992,7 +990,7 @@ cmdNetserve(int argc, char **argv)
 
     const int queries =
         static_cast<int>(argValue(argc, argv, "--queries", 256));
-    const double qps = parseQps(argc, argv, 500.0);
+    const double qps = argRate(argc, argv, "--qps", 500.0);
     if (ep.batching == serve::BatchingMode::Planned) {
         // Both sides derive this plan; the Hello fingerprint pins it.
         ep.plan = serve::planBatches(
@@ -1001,7 +999,6 @@ cmdNetserve(int argc, char **argv)
         options.helloQps = qps;
     }
 
-    const net::IoMode io = options.io;
     const char *batchingName =
         ep.batching == serve::BatchingMode::Planned ? "planned"
                                                     : "dynamic";
@@ -1016,11 +1013,10 @@ cmdNetserve(int argc, char **argv)
     std::signal(SIGTERM, netserveSignal);
     std::signal(SIGINT, netserveSignal);
 
-    std::fprintf(stderr, "netserve: %s on %s:%d (%s io, %s)\n",
+    std::fprintf(stderr, "netserve: %s on %s:%d (%s)\n",
                  b->info.id.c_str(),
                  argString(argc, argv, "--host", "127.0.0.1"),
-                 server.boundPort(), net::ioModeName(io),
-                 batchingName);
+                 server.boundPort(), batchingName);
     if (const char *port_file =
             argString(argc, argv, "--port-file", nullptr)) {
         // Write-then-rename so a polling client never reads a
@@ -1111,7 +1107,7 @@ cmdNetbench(int argc, char **argv)
         static_cast<int>(argValue(argc, argv, "--batch", 8));
     options.policy.maxDelayUs =
         argValue(argc, argv, "--delay-us", 2000);
-    options.qps = parseQps(argc, argv, 500.0);
+    options.qps = argRate(argc, argv, "--qps", 500.0);
     options.mode = hasFlag(argc, argv, "--closed")
                        ? net::LoadMode::Closed
                        : net::LoadMode::Open;
@@ -1150,9 +1146,8 @@ cmdNetbench(int argc, char **argv)
     }
 
     const bool compare = !hasFlag(argc, argv, "--no-compare");
-    const net::NetserveReport report = net::buildNetserveReport(
-        *b, options, result, argString(argc, argv, "--io", ""),
-        compare);
+    const net::NetserveReport report =
+        net::buildNetserveReport(*b, options, result, compare);
     const std::string json = net::netserveReportToJson(report);
     std::printf("%s\n", json.c_str());
     if (const char *out_path =
@@ -1226,8 +1221,6 @@ cmdScenario(int argc, char **argv)
     options.batch = static_cast<int>(argValue(argc, argv, "--batch", 8));
     options.workers =
         static_cast<int>(argValue(argc, argv, "--workers", 2));
-    options.dagWorkers =
-        static_cast<int>(argValue(argc, argv, "--dag-workers", 2));
     options.seed = static_cast<std::uint64_t>(
         argValue(argc, argv, "--seed", 42));
 
@@ -1300,10 +1293,10 @@ constexpr Command kCommands[] = {
      "online serving: dynamic batching, tail latency, throughput",
      cmdServe},
     {"netserve",
-     "<id> [--port P] [--port-file FILE] [--io epoll|threads] "
+     "<id> [--port P] [--port-file FILE] "
      "[--batching planned|dynamic] [--qps Q] [--queries N] "
      "[--batch N] [--delay-us D] [--workers N] [--queue-cap N] "
-     "[--train-epochs N] [--seed N] [--max-conns N] [--grace-ms D] "
+     "[--train-epochs N] [--seed N] [--grace-ms D] "
      "[--exit-after-last-client]",
      "host a benchmark behind the aib.net/1 binary protocol",
      cmdNetserve},
@@ -1311,14 +1304,13 @@ constexpr Command kCommands[] = {
      "<id> [--host H] [--port P | --port-file FILE] [--processes N] "
      "[--connections N] [--queries N] [--qps Q | --closed] "
      "[--inflight N] [--batching planned|dynamic] [--batch N] "
-     "[--delay-us D] [--seed N] [--io LABEL] [--no-compare] "
+     "[--delay-us D] [--seed N] [--no-compare] "
      "[--out FILE]",
      "multi-process traffic generator + digest gate vs in-process",
      cmdNetbench},
     {"scenario",
      "[--list | --run <id>] [--queries N] [--batch N] [--workers N] "
-     "[--dag-workers N] [--seed N] [--graphopt] [--json] "
-     "[--out FILE]",
+     "[--seed N] [--graphopt] [--json] [--out FILE]",
      "end-to-end application pipelines (per-stage latency/FLOPs)",
      cmdScenario},
     {"run", "<id> [--seed N] [--max-epochs N]",
