@@ -18,14 +18,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <memory>
 #include <sstream>
 #include <unordered_map>
 #include <utility>
 
 #include "analysis/graphlint/jsonutil.h"
-#include "dag/scenario.h"
 #include "tensor/alloctrack.h"
 #include "tensor/random.h"
 
@@ -35,17 +33,6 @@ namespace {
 
 using detail::appendDiagnosticsJson;
 using detail::jsonEscape;
-
-/** Parameter and persistent-buffer ids of one module tree. */
-void
-appendResidentIds(nn::Module &model,
-                  std::vector<graph::TensorId> &out)
-{
-    for (const nn::NamedParam &p : model.namedParameters())
-        out.push_back(graph::tensorId(p.tensor));
-    for (const nn::NamedParam &b : model.namedBuffers())
-        out.push_back(graph::tensorId(b.tensor));
-}
 
 /**
  * Enact the liveness intervals with real tensors: allocate every
@@ -92,22 +79,20 @@ replayIntervals(const LivenessReport &liveness)
         alloctrack::snapshot().peakBytes);
 }
 
+} // namespace
+
 BenchmarkAnalysis
-analyzeTask(
-    const std::string &id,
-    const std::function<std::unique_ptr<core::TrainableTask>()> &make,
-    const std::function<std::vector<graph::TensorId>(
-        core::TrainableTask &)> &residentIds,
-    std::uint64_t seed)
+analyzeBenchmark(const core::ComponentBenchmark &benchmark,
+                 std::uint64_t seed)
 {
     BenchmarkAnalysis analysis;
-    analysis.id = id;
+    analysis.id = benchmark.info.id;
 
     // Real region (uncaptured; a capture would pin every impl and
     // turn the high-water mark into the cumulative total).
     {
         seedGlobalRng(seed);
-        auto task = make();
+        auto task = benchmark.makeTask(seed);
         analysis.measuredBaselineBytes = static_cast<std::int64_t>(
             alloctrack::snapshot().liveBytes);
         alloctrack::resetPeak();
@@ -118,8 +103,9 @@ analyzeTask(
 
     // Captured twin region (same seed, same construction order).
     seedGlobalRng(seed);
-    auto task = make();
-    const std::vector<graph::TensorId> resident = residentIds(*task);
+    auto task = benchmark.makeTask(seed);
+    const std::vector<graph::TensorId> resident =
+        residentIds(task->model());
     {
         graph::GraphCapture capture;
         task->forwardOnce();
@@ -159,8 +145,6 @@ analyzeTask(
     return analysis;
 }
 
-} // namespace
-
 double
 BenchmarkAnalysis::peakRelativeError() const
 {
@@ -196,43 +180,6 @@ BenchmarkAnalysis::clean(double tolerance) const
     return true;
 }
 
-BenchmarkAnalysis
-analyzeBenchmark(const core::ComponentBenchmark &benchmark,
-                 std::uint64_t seed)
-{
-    return analyzeTask(
-        benchmark.info.id,
-        [&] { return benchmark.makeTask(seed); },
-        [](core::TrainableTask &task) {
-            std::vector<graph::TensorId> out;
-            appendResidentIds(task.model(), out);
-            return out;
-        },
-        seed);
-}
-
-BenchmarkAnalysis
-analyzeScenario(const dag::ScenarioSpec &spec, std::uint64_t seed)
-{
-    return analyzeTask(
-        spec.id,
-        [&] {
-            // One stage worker: every stage executes inline on the
-            // calling thread, so the thread-local capture sees the
-            // whole DAG-expanded pipeline.
-            return std::make_unique<dag::ScenarioTask>(spec, seed,
-                                                       /*dagWorkers=*/1);
-        },
-        [](core::TrainableTask &task) {
-            auto &scenario = static_cast<dag::ScenarioTask &>(task);
-            std::vector<graph::TensorId> out;
-            for (dag::TaskNode *node : scenario.taskNodes())
-                appendResidentIds(node->task().model(), out);
-            return out;
-        },
-        seed);
-}
-
 std::string
 analysesToJson(const std::vector<BenchmarkAnalysis> &analyses)
 {
@@ -265,7 +212,7 @@ analysesToJson(const std::vector<BenchmarkAnalysis> &analyses)
             const ReuseCandidate &c = a.liveness.reuse[r];
             if (r)
                 os << ",";
-            os << "{\"from\":" << c.from << ",\"into\":" << c.into
+            os << "{\"from\":" << c.fromOp << ",\"into\":" << c.intoOp
                << ",\"bytes\":" << c.bytes << "}";
         }
         os << "]},"

@@ -37,10 +37,6 @@
 #include "core/benchmark.h"
 #include "tensor/graph_capture.h"
 
-namespace aib::dag {
-struct ScenarioSpec;
-} // namespace aib::dag
-
 namespace aib::analysis::graphlint {
 
 /** @name Buffer liveness
@@ -66,6 +62,10 @@ struct BufferInterval {
 struct ReuseCandidate {
     graph::TensorId from = 0;
     graph::TensorId into = 0;
+    /** Producing-op indices (BufferInterval::def) of @c from and
+     *  @c into: unlike TensorIds, stable from run to run. */
+    int fromOp = -1;
+    int intoOp = -1;
     /** Bytes saved by the pairing (= size of @c into). */
     std::int64_t bytes = 0;
 };
@@ -107,6 +107,10 @@ struct LivenessReport {
 LivenessReport
 analyzeLiveness(const graph::CapturedGraph &g,
                 const std::vector<graph::TensorId> &resident);
+
+/** Parameter and persistent-buffer ids of @p model: the resident set
+ *  of a region that runs the model. */
+std::vector<graph::TensorId> residentIds(const nn::Module &model);
 
 /** @} */
 
@@ -214,23 +218,16 @@ struct BenchmarkAnalysis {
 };
 
 /**
- * Analyze one component benchmark: measure an uncaptured forward
- * region's allocator high-water mark, capture an identical forward
- * region (same seed, same construction order) for the liveness and
- * redundancy passes, then capture a serveBatch region for the
- * determinism lint. Deterministic for a given seed.
+ * Analyze one benchmark or scenario target (analysis/targets.h):
+ * measure an uncaptured forward region's allocator high-water mark,
+ * capture an identical forward region (same seed, same construction
+ * order) for the liveness and redundancy passes, then capture a
+ * serveBatch region for the determinism lint. Deterministic for a
+ * given seed.
  */
 BenchmarkAnalysis
 analyzeBenchmark(const core::ComponentBenchmark &benchmark,
                  std::uint64_t seed = 42);
-
-/**
- * Analyze one scenario pipeline, DAG-expanded: the task is built with
- * a single stage worker so every stage op lands in the calling
- * thread's capture, and the resident set spans all component stages.
- */
-BenchmarkAnalysis analyzeScenario(const dag::ScenarioSpec &spec,
-                                  std::uint64_t seed = 42);
 
 /** Render analyses as the aib.analysis/1 JSON document. */
 std::string

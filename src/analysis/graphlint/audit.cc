@@ -16,8 +16,6 @@
 
 #include "analysis/graphlint/jsonutil.h"
 #include "analysis/opcounter.h"
-#include "dag/scenario.h"
-#include "profiler/trace.h"
 #include "tensor/autograd.h"
 #include "tensor/random.h"
 
@@ -160,96 +158,11 @@ auditBenchmark(const core::ComponentBenchmark &benchmark,
     return audit;
 }
 
-BenchmarkAudit
-auditScenario(const dag::ScenarioSpec &spec, std::uint64_t seed)
-{
-    BenchmarkAudit audit;
-    audit.id = spec.id;
-
-    // One stage worker: every stage executes inline on the calling
-    // thread, so both the kernel trace and the thread-local capture
-    // see the whole DAG-expanded pipeline.
-    const auto make = [&] {
-        return std::make_unique<dag::ScenarioTask>(spec, seed,
-                                                   /*dagWorkers=*/1);
-    };
-    const auto paramCount = [](dag::ScenarioTask &task) {
-        std::int64_t n = 0;
-        for (dag::TaskNode *node : task.taskNodes())
-            n += node->task().model().parameterCount();
-        return n;
-    };
-
-    // Traced path: instrumented kernel layer, as countOps does for
-    // component benchmarks.
-    {
-        seedGlobalRng(seed);
-        auto task = make();
-        audit.tracedParams = paramCount(*task);
-        profiler::TraceSession trace;
-        {
-            profiler::ScopedTrace scope(trace);
-            task->forwardOnce();
-        }
-        audit.tracedFlops = trace.totalFlops();
-        audit.tracedBytes = trace.totalBytes();
-    }
-
-    // Static path: capture an identical forward pass and re-derive
-    // costs from the IR alone.
-    seedGlobalRng(seed);
-    auto task = make();
-    audit.staticParams = paramCount(*task);
-    {
-        graph::GraphCapture capture;
-        task->forwardOnce();
-        const StaticTotals totals = inferTotals(capture.graph());
-        audit.staticFlops = totals.flops;
-        audit.staticBytes = totals.bytesRead + totals.bytesWritten;
-        audit.forwardOps = totals.ops;
-        audit.modeledOps = totals.modeled;
-        audit.shapeCheckedOps = totals.shapeChecked;
-        appendCoverageDiagnostics(totals, audit.diagnostics);
-    }
-
-    // Lint pass over one captured pipeline epoch, then the tape-leak
-    // check, exactly as auditBenchmark.
-    LintInput input;
-    for (dag::TaskNode *node : task->taskNodes()) {
-        for (ParamRef &ref : collectParams(node->task().model()))
-            input.params.push_back(std::move(ref));
-    }
-    const std::size_t live_before = autograd::liveNodeCount();
-    {
-        graph::GraphCapture capture;
-        task->runEpoch();
-        audit.trainingOps =
-            static_cast<int>(capture.graph().ops.size());
-        input.training = &capture.graph();
-        const StaticTotals totals = inferTotals(capture.graph());
-        appendCoverageDiagnostics(totals, audit.diagnostics);
-        for (Diagnostic &d : runRules(input))
-            audit.diagnostics.push_back(std::move(d));
-    }
-    for (dag::TaskNode *node : task->taskNodes())
-        node->task().model().zeroGrad();
-    const std::size_t live_after = autograd::liveNodeCount();
-    if (live_after > live_before) {
-        static const graph::CapturedGraph kEmpty;
-        LintInput leak_input;
-        leak_input.training = &kEmpty;
-        leak_input.leakedNodes = live_after - live_before;
-        for (Diagnostic &d : runRules(leak_input))
-            audit.diagnostics.push_back(std::move(d));
-    }
-    return audit;
-}
-
 std::string
 auditsToJson(const std::vector<BenchmarkAudit> &audits)
 {
     std::ostringstream os;
-    os << "{\"benchmarks\":[";
+    os << "{\"schema\":\"aib.lint/1\",\"benchmarks\":[";
     for (std::size_t i = 0; i < audits.size(); ++i) {
         const BenchmarkAudit &a = audits[i];
         if (i)

@@ -22,10 +22,6 @@
 #include "core/benchmark.h"
 #include "tensor/graph_capture.h"
 
-namespace aib::dag {
-struct ScenarioSpec;
-} // namespace aib::dag
-
 namespace aib::analysis::graphlint {
 
 /** @name Static inference
@@ -123,7 +119,7 @@ std::vector<Diagnostic> runRules(const LintInput &input);
  * @{
  */
 
-/** Full audit of one component benchmark. */
+/** Full audit of one benchmark or scenario. */
 struct BenchmarkAudit {
     std::string id;
     /** Parameter count from the module tree (static). */
@@ -151,22 +147,15 @@ struct BenchmarkAudit {
 };
 
 /**
- * Audit one benchmark: trace + capture a forward pass, cross-check
- * static inference against the OpCounter, capture one training epoch
- * and lint it. Deterministic for a given seed.
+ * Audit one benchmark or scenario target (analysis/targets.h): trace
+ * and capture a forward pass, cross-check static inference against
+ * the OpCounter, capture one training epoch and lint it.
+ * Deterministic for a given seed.
  */
 BenchmarkAudit auditBenchmark(const core::ComponentBenchmark &benchmark,
                               std::uint64_t seed = 42);
 
-/**
- * Audit one scenario pipeline, DAG-expanded: the task is built with a
- * single stage worker so every stage op lands in the calling thread's
- * capture, and parameters span all component stages.
- */
-BenchmarkAudit auditScenario(const dag::ScenarioSpec &spec,
-                             std::uint64_t seed = 42);
-
-/** Render audits as machine-readable JSON. */
+/** Render audits as the aib.lint/1 JSON document. */
 std::string auditsToJson(const std::vector<BenchmarkAudit> &audits);
 
 /** Render one audit as a human-readable report. */

@@ -267,6 +267,8 @@ analyzeLiveness(const graph::CapturedGraph &g,
         ReuseCandidate r;
         r.from = report.intervals[lives[best].interval].id;
         r.into = report.intervals[into.interval].id;
+        r.fromOp = report.intervals[lives[best].interval].def;
+        r.intoOp = report.intervals[into.interval].def;
         r.bytes = into.bytes;
         report.reuse.push_back(r);
     }
@@ -275,6 +277,17 @@ analyzeLiveness(const graph::CapturedGraph &g,
                   return a.bytes > b.bytes;
               });
     return report;
+}
+
+std::vector<graph::TensorId>
+residentIds(const nn::Module &model)
+{
+    std::vector<graph::TensorId> out;
+    for (const nn::NamedParam &p : model.namedParameters())
+        out.push_back(graph::tensorId(p.tensor));
+    for (const nn::NamedParam &b : model.namedBuffers())
+        out.push_back(graph::tensorId(b.tensor));
+    return out;
 }
 
 } // namespace aib::analysis::graphlint

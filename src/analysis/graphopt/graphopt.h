@@ -39,10 +39,6 @@
 #include "tensor/alloctrack.h"
 #include "tensor/graph_capture.h"
 
-namespace aib::dag {
-struct ScenarioSpec;
-} // namespace aib::dag
-
 namespace aib::analysis::graphopt {
 
 /** @name Fusion pass
@@ -238,13 +234,10 @@ struct TargetReport {
     bool clean() const;
 };
 
-/** Optimize one component benchmark. Deterministic for a seed. */
+/** Optimize one benchmark or scenario target (analysis/targets.h).
+ *  Deterministic for a seed. */
 TargetReport optimizeBenchmark(const core::ComponentBenchmark &benchmark,
                                const OptimizeOptions &opts = {});
-
-/** Optimize one scenario pipeline, DAG-expanded on one worker. */
-TargetReport optimizeScenario(const dag::ScenarioSpec &spec,
-                              const OptimizeOptions &opts = {});
 
 /** Render reports as the aib.graphopt/1 JSON document. */
 std::string reportsToJson(const std::vector<TargetReport> &reports);

@@ -21,14 +21,12 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
-#include <functional>
 #include <memory>
 #include <sstream>
 #include <utility>
 
 #include "analysis/graphlint/graphlint.h"
 #include "analysis/graphlint/jsonutil.h"
-#include "dag/scenario.h"
 #include "profiler/trace.h"
 #include "tensor/arena.h"
 #include "tensor/graphopt_mode.h"
@@ -39,16 +37,6 @@ namespace aib::analysis::graphopt {
 namespace {
 
 using analysis::graphlint::detail::jsonEscape;
-
-/** Parameter and persistent-buffer ids of one module tree. */
-void
-appendResidentIds(nn::Module &model, std::vector<graph::TensorId> &out)
-{
-    for (const nn::NamedParam &p : model.namedParameters())
-        out.push_back(graph::tensorId(p.tensor));
-    for (const nn::NamedParam &b : model.namedBuffers())
-        out.push_back(graph::tensorId(b.tensor));
-}
 
 double
 relativeError(double predicted, double actual)
@@ -111,16 +99,14 @@ sequencesMatch(const graph::CapturedGraph &predicted,
     return true;
 }
 
+} // namespace
+
 TargetReport
-optimizeTask(
-    const std::string &id,
-    const std::function<std::unique_ptr<core::TrainableTask>()> &make,
-    const std::function<std::vector<graph::TensorId>(
-        core::TrainableTask &)> &residentIds,
-    const OptimizeOptions &opts)
+optimizeBenchmark(const core::ComponentBenchmark &benchmark,
+                  const OptimizeOptions &opts)
 {
     TargetReport report;
-    report.id = id;
+    report.id = benchmark.info.id;
 
     graph::CapturedGraph baseline_graph;
     double baseline_digest = 0.0;
@@ -132,7 +118,7 @@ optimizeTask(
         // Measured region (uncaptured): allocator traffic, high-water
         // mark, serve digest, timed throughput.
         seedGlobalRng(opts.seed);
-        auto task = make();
+        auto task = benchmark.makeTask(opts.seed);
         alloctrack::resetPeak();
         alloctrack::beginEventLog();
         task->forwardOnce();
@@ -147,7 +133,7 @@ optimizeTask(
 
         // Captured twin (same seed, same construction order).
         seedGlobalRng(opts.seed);
-        auto twin = make();
+        auto twin = benchmark.makeTask(opts.seed);
         graph::GraphCapture capture;
         twin->forwardOnce();
         baseline_graph = capture.graph();
@@ -174,9 +160,9 @@ optimizeTask(
         // liveness -> packed arena plan -> enactment on it.
         {
             seedGlobalRng(opts.seed);
-            auto twin = make();
+            auto twin = benchmark.makeTask(opts.seed);
             const std::vector<graph::TensorId> resident =
-                residentIds(*twin);
+                graphlint::residentIds(twin->model());
             graph::CapturedGraph fused_graph;
             {
                 graph::GraphCapture capture;
@@ -215,7 +201,7 @@ optimizeTask(
         std::vector<alloctrack::Event> events;
         {
             seedGlobalRng(opts.seed);
-            auto task = make();
+            auto task = benchmark.makeTask(opts.seed);
             alloctrack::resetPeak();
             alloctrack::beginEventLog();
             task->forwardOnce();
@@ -235,7 +221,7 @@ optimizeTask(
         // arena back off.
         {
             seedGlobalRng(opts.seed);
-            auto task = make();
+            auto task = benchmark.makeTask(opts.seed);
             arena::configure(static_cast<std::size_t>(
                 report.runtimeArenaBytes));
             arena::resetStats();
@@ -262,8 +248,6 @@ optimizeTask(
     return report;
 }
 
-} // namespace
-
 bool
 TargetReport::clean() const
 {
@@ -271,43 +255,6 @@ TargetReport::clean() const
            shapeMismatches == 0 && planError.empty() && planExact &&
            runtimeFits && digestMatch &&
            optimizedAllocs <= baselineAllocs;
-}
-
-TargetReport
-optimizeBenchmark(const core::ComponentBenchmark &benchmark,
-                  const OptimizeOptions &opts)
-{
-    return optimizeTask(
-        benchmark.info.id, [&] { return benchmark.makeTask(opts.seed); },
-        [](core::TrainableTask &task) {
-            std::vector<graph::TensorId> out;
-            appendResidentIds(task.model(), out);
-            return out;
-        },
-        opts);
-}
-
-TargetReport
-optimizeScenario(const dag::ScenarioSpec &spec,
-                 const OptimizeOptions &opts)
-{
-    return optimizeTask(
-        spec.id,
-        [&] {
-            // One stage worker: every stage executes inline on the
-            // calling thread, so captures and event logs see the whole
-            // DAG-expanded pipeline.
-            return std::make_unique<dag::ScenarioTask>(
-                spec, opts.seed, /*dagWorkers=*/1);
-        },
-        [](core::TrainableTask &task) {
-            auto &scenario = static_cast<dag::ScenarioTask &>(task);
-            std::vector<graph::TensorId> out;
-            for (dag::TaskNode *node : scenario.taskNodes())
-                appendResidentIds(node->task().model(), out);
-            return out;
-        },
-        opts);
 }
 
 std::string

@@ -206,7 +206,9 @@ ScenarioTask::ScenarioTask(const ScenarioSpec &spec, std::uint64_t seed,
     graph_.validate();
     for (NodeId id : graph_.topoOrder()) {
         if (graph_.node(id).isTask()) {
-            taskNodes_.push_back(static_cast<TaskNode *>(&graph_.node(id)));
+            auto *node = static_cast<TaskNode *>(&graph_.node(id));
+            taskNodes_.push_back(node);
+            model_.add(node->benchmarkId(), node->task().model());
         }
     }
     if (taskNodes_.empty()) {
@@ -230,11 +232,6 @@ double ScenarioTask::evaluate()
         sum += node->task().evaluate();
     }
     return sum / static_cast<double>(taskNodes_.size());
-}
-
-nn::Module &ScenarioTask::model()
-{
-    return taskNodes_.front()->task().model();
 }
 
 void ScenarioTask::forwardOnce()

@@ -71,8 +71,12 @@ class ScenarioTask : public core::TrainableTask
     void runEpoch() override;
     /** Mean quality over component stages. */
     double evaluate() override;
-    /** First component stage's model. */
-    nn::Module &model() override;
+    /**
+     * Every component stage's model as one module tree, each stage a
+     * child named by its benchmark id ("DC-AI-C1.stem.weight"), so
+     * parameter counts, resident sets and zeroGrad span the pipeline.
+     */
+    nn::Module &model() override { return model_; }
     void forwardOnce() override;
     double serveBatch(const std::vector<int> &ids) override;
     bool supportsBatchedServe() const override { return true; }
@@ -88,9 +92,18 @@ class ScenarioTask : public core::TrainableTask
     const std::vector<TaskNode *> &taskNodes() const { return taskNodes_; }
 
   private:
+    /** Non-owning parent of the stage models (see model()). */
+    struct StageModels : nn::Module {
+        void add(const std::string &id, nn::Module &stage)
+        {
+            registerModule(id, &stage);
+        }
+    };
+
     const ScenarioSpec &spec_;
     Graph graph_;
     std::vector<TaskNode *> taskNodes_; ///< borrowed, topo order
+    StageModels model_;
     std::unique_ptr<Executor> executor_;
 };
 

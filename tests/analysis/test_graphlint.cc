@@ -347,6 +347,7 @@ TEST(AuditOutput, JsonContainsCrossCheckFields)
         core::findBenchmark("DC-AI-C16");
     ASSERT_NE(b, nullptr);
     const std::string json = auditsToJson({auditBenchmark(*b, 42)});
+    EXPECT_EQ(json.find("{\"schema\":\"aib.lint/1\","), 0u);
     EXPECT_NE(json.find("\"id\":\"DC-AI-C16\""), std::string::npos);
     EXPECT_NE(json.find("\"relative_error\":"), std::string::npos);
     EXPECT_NE(json.find("\"clean\":true"), std::string::npos);

@@ -14,7 +14,9 @@
  *    run's batch digests;
  *  - closed-loop serving of a scenario completes every query;
  *  - the catalog exposes >= 3 scenarios under Suite::Scenario,
- *    findable by id but NOT merged into core::allBenchmarks().
+ *    findable by id but NOT merged into core::allBenchmarks();
+ *  - a ScenarioTask's model() is every stage's model, each under its
+ *    benchmark id.
  */
 
 #include <memory>
@@ -76,6 +78,28 @@ TEST(ScenarioCatalog, ExposesScenarioSuite)
     }
     EXPECT_EQ(dag::findScenario("SCN-NOPE"), nullptr);
     EXPECT_EQ(dag::findScenarioSpec("SCN-NOPE"), nullptr);
+}
+
+TEST(ScenarioTask, ModelSpansEveryStageUnderItsBenchmarkId)
+{
+    dag::ScenarioTask task(*dag::findScenarioSpec("SCN-MEDIA"), 42);
+    // 18,674 (DC-AI-C1) + 3,335 (DC-AI-C12).
+    EXPECT_EQ(task.model().parameterCount(), 22009);
+
+    const std::vector<nn::NamedParam> names =
+        task.model().namedParameters();
+    std::size_t at = 0;
+    std::int64_t stageSum = 0;
+    for (dag::TaskNode *node : task.taskNodes()) {
+        stageSum += node->task().model().parameterCount();
+        for (const nn::NamedParam &p :
+             node->task().model().namedParameters()) {
+            ASSERT_LT(at, names.size());
+            EXPECT_EQ(names[at++].name, node->benchmarkId() + "." + p.name);
+        }
+    }
+    EXPECT_EQ(at, names.size());
+    EXPECT_EQ(task.model().parameterCount(), stageSum);
 }
 
 TEST(ScenarioDeterminism, ComponentServeDigestsAreReproducible)

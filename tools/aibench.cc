@@ -18,6 +18,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <iterator>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -27,6 +29,7 @@
 #include "analysis/graphlint/analyze.h"
 #include "analysis/graphlint/graphlint.h"
 #include "analysis/graphopt/graphopt.h"
+#include "analysis/targets.h"
 #include "core/checkpoint.h"
 #include "core/cost.h"
 #include "core/faultinject.h"
@@ -113,49 +116,33 @@ hasFlag(int argc, char **argv, const char *flag)
     return false;
 }
 
-/**
- * First token that is neither a flag nor the value of a
- * value-carrying flag (--seed, --out, --out-dir, --mode, --id).
- */
+/** The id argument, which main moves to argv[0], or nullptr. */
 const char *
 positionalArg(int argc, char **argv)
 {
-    for (int i = 0; i < argc; ++i) {
-        if (argv[i][0] == '-') {
-            if (std::strcmp(argv[i], "--seed") == 0 ||
-                std::strcmp(argv[i], "--out") == 0 ||
-                std::strcmp(argv[i], "--out-dir") == 0 ||
-                std::strcmp(argv[i], "--mode") == 0 ||
-                std::strcmp(argv[i], "--id") == 0 ||
-                std::strcmp(argv[i], "--max-epochs") == 0 ||
-                std::strcmp(argv[i], "--queries") == 0 ||
-                std::strcmp(argv[i], "--reps") == 0 ||
-                std::strcmp(argv[i], "--checkpoint-dir") == 0 ||
-                std::strcmp(argv[i], "--checkpoint-every") == 0 ||
-                std::strcmp(argv[i], "--checkpoint-retain") == 0 ||
-                std::strcmp(argv[i], "--fault") == 0 ||
-                std::strcmp(argv[i], "--qps") == 0 ||
-                std::strcmp(argv[i], "--batch") == 0 ||
-                std::strcmp(argv[i], "--delay-us") == 0 ||
-                std::strcmp(argv[i], "--workers") == 0 ||
-                std::strcmp(argv[i], "--queue-cap") == 0 ||
-                std::strcmp(argv[i], "--concurrency") == 0 ||
-                std::strcmp(argv[i], "--train-epochs") == 0 ||
-                std::strcmp(argv[i], "--run") == 0 ||
-                std::strcmp(argv[i], "--host") == 0 ||
-                std::strcmp(argv[i], "--port") == 0 ||
-                std::strcmp(argv[i], "--port-file") == 0 ||
-                std::strcmp(argv[i], "--batching") == 0 ||
-                std::strcmp(argv[i], "--processes") == 0 ||
-                std::strcmp(argv[i], "--connections") == 0 ||
-                std::strcmp(argv[i], "--inflight") == 0 ||
-                std::strcmp(argv[i], "--grace-ms") == 0)
-                ++i;
-            continue;
-        }
-        return argv[i];
+    return argc > 0 && argv[0][0] != '-' ? argv[0] : nullptr;
+}
+
+/**
+ * Write @p json and a newline to @p path, when set, and say so unless
+ * @p quiet. On failure print the reason after @p command and return
+ * false; the command then exits 1.
+ */
+bool
+writeReport(const char *command, const char *path,
+            const std::string &json, bool quiet)
+{
+    if (!path)
+        return true;
+    const std::string text = json + "\n";
+    std::string err;
+    if (!core::sysio::writeFile(path, text.data(), text.size(), &err)) {
+        std::fprintf(stderr, "%s: %s\n", command, err.c_str());
+        return false;
     }
-    return nullptr;
+    if (!quiet)
+        std::printf("wrote %s\n", path);
+    return true;
 }
 
 /**
@@ -187,19 +174,26 @@ requireBenchmark(const char *id)
     return b;
 }
 
+/** @p found, what looking up @p id gave; exit 2 when it is null. */
+const core::ComponentBenchmark *
+requireFound(const char *id, const core::ComponentBenchmark *found)
+{
+    if (!found) {
+        std::fprintf(stderr,
+                     "unknown benchmark or scenario '%s' (try: aibench "
+                     "list)\n",
+                     id);
+        std::exit(2);
+    }
+    return found;
+}
+
 /** Resolve a component benchmark or a scenario (serve paths). */
 const core::ComponentBenchmark *
 requireServable(const char *id)
 {
-    if (const auto *b = core::findBenchmark(id))
-        return b;
-    if (const auto *s = dag::findScenario(id))
-        return s;
-    std::fprintf(stderr,
-                 "unknown benchmark or scenario '%s' (try: aibench "
-                 "list)\n",
-                 id);
-    std::exit(2);
+    const auto *b = core::findBenchmark(id);
+    return requireFound(id, b ? b : dag::findScenario(id));
 }
 
 int
@@ -278,9 +272,10 @@ cmdList(int argc, char **argv)
 int
 cmdRun(int argc, char **argv)
 {
-    if (argc < 1)
+    const char *id = positionalArg(argc, argv);
+    if (!id)
         return usage();
-    const auto *b = requireBenchmark(argv[0]);
+    const auto *b = requireBenchmark(id);
     core::RunOptions options;
     options.maxEpochs =
         static_cast<int>(argValue(argc, argv, "--max-epochs", 40));
@@ -320,9 +315,10 @@ cmdRun(int argc, char **argv)
 int
 cmdTrain(int argc, char **argv)
 {
-    if (argc < 1)
+    const char *id = positionalArg(argc, argv);
+    if (!id)
         return usage();
-    const auto *b = requireBenchmark(argv[0]);
+    const auto *b = requireBenchmark(id);
     applyGraphoptFlag(argc, argv);
     core::RunOptions options;
     options.maxEpochs =
@@ -374,9 +370,10 @@ cmdTrain(int argc, char **argv)
 int
 cmdCharacterize(int argc, char **argv)
 {
-    if (argc < 1)
+    const char *id = positionalArg(argc, argv);
+    if (!id)
         return usage();
-    const auto *b = requireBenchmark(argv[0]);
+    const auto *b = requireBenchmark(id);
     analysis::ProfileOptions options;
     options.skipTraining = true;
     analysis::BenchmarkProfile p =
@@ -552,14 +549,12 @@ cmdTraceSnapshot(int argc, char **argv)
             dir / (b.info.id + ".trace");
         const std::string text = profiler::formatSnapshot(
             profiler::makeSnapshot(trace));
-        std::FILE *f = std::fopen(path.c_str(), "w");
-        if (!f) {
-            std::fprintf(stderr, "cannot write '%s'\n",
-                         path.c_str());
+        std::string err;
+        if (!core::sysio::writeFile(path, text.data(), text.size(),
+                                    &err)) {
+            std::fprintf(stderr, "trace-snapshot: %s\n", err.c_str());
             std::exit(1);
         }
-        std::fwrite(text.data(), 1, text.size(), f);
-        std::fclose(f);
         std::printf("wrote %s\n", path.c_str());
     };
 
@@ -595,236 +590,100 @@ cmdDevices(int, char **)
 }
 
 /**
- * Run the graph auditor (static shape/FLOP inference + lint rules,
- * see docs/LINT.md) over one benchmark or scenario, or the whole
- * suite plus the scenario pipelines (--all). Exits non-zero when any
- * audited target is not clean, so CI can gate on it.
+ * The loop lint, analyze and optimize share: run @p pass over every
+ * analysis target (--all) or the one the id names, print each
+ * report's text (or the whole JSON document with --json), write the
+ * document to --out, and exit 1 unless every target is clean.
  */
+template <typename Report, typename Pass>
+int
+runTargets(const char *command, int argc, char **argv, Pass pass,
+           std::string (*toText)(const Report &),
+           std::string (*toJson)(const std::vector<Report> &))
+{
+    std::vector<const core::ComponentBenchmark *> targets;
+    if (hasFlag(argc, argv, "--all")) {
+        targets = analysis::analysisTargets();
+    } else if (const char *id = positionalArg(argc, argv)) {
+        targets.push_back(
+            requireFound(id, analysis::findAnalysisTarget(id)));
+    } else {
+        std::fprintf(stderr,
+                     "%s: pass a benchmark or scenario id, or --all\n",
+                     command);
+        return 2;
+    }
+
+    const bool as_json = hasFlag(argc, argv, "--json");
+    std::vector<Report> reports;
+    std::size_t clean = 0;
+    for (const auto *target : targets) {
+        reports.push_back(pass(*target));
+        clean += reports.back().clean() ? 1 : 0;
+        if (!as_json)
+            std::printf("%s", toText(reports.back()).c_str());
+    }
+    const std::string json = toJson(reports);
+    if (as_json)
+        std::printf("%s\n", json.c_str());
+    if (!writeReport(command, argString(argc, argv, "--out", nullptr),
+                     json, as_json))
+        return 1;
+    if (!as_json)
+        std::printf("%zu/%zu targets clean\n", clean, reports.size());
+    return clean == reports.size() ? 0 : 1;
+}
+
+/** Graph auditor: static shape/FLOP inference + lint rules
+ *  (docs/LINT.md). */
 int
 cmdLint(int argc, char **argv)
 {
-    const bool all = hasFlag(argc, argv, "--all");
-    const bool as_json = hasFlag(argc, argv, "--json");
-    const char *out_path = argString(argc, argv, "--out", nullptr);
     const auto seed = static_cast<std::uint64_t>(
         argValue(argc, argv, "--seed", 42));
-
-    std::vector<const core::ComponentBenchmark *> benchmarks;
-    std::vector<const dag::ScenarioSpec *> scenarios;
-    if (all) {
-        benchmarks = core::allBenchmarks();
-        for (const auto &spec : dag::scenarioSpecs())
-            scenarios.push_back(&spec);
-    } else {
-        const char *id = positionalArg(argc, argv);
-        if (!id) {
-            std::fprintf(stderr,
-                         "lint: pass a benchmark or scenario id, or "
-                         "--all\n");
-            return 2;
-        }
-        if (const auto *spec = dag::findScenarioSpec(id))
-            scenarios.push_back(spec);
-        else
-            benchmarks.push_back(requireBenchmark(id));
-    }
-
-    std::vector<analysis::graphlint::BenchmarkAudit> audits;
-    audits.reserve(benchmarks.size() + scenarios.size());
-    bool all_clean = true;
-    const auto report = [&](analysis::graphlint::BenchmarkAudit a) {
-        if (!as_json)
-            std::printf("%s",
-                        analysis::graphlint::auditToText(a).c_str());
-        all_clean = all_clean && a.clean();
-        audits.push_back(std::move(a));
-    };
-    for (const auto *b : benchmarks)
-        report(analysis::graphlint::auditBenchmark(*b, seed));
-    for (const auto *spec : scenarios)
-        report(analysis::graphlint::auditScenario(*spec, seed));
-
-    const std::string json = analysis::graphlint::auditsToJson(audits);
-    if (as_json)
-        std::printf("%s\n", json.c_str());
-    if (out_path) {
-        std::FILE *f = std::fopen(out_path, "w");
-        if (!f) {
-            std::fprintf(stderr, "cannot write '%s'\n", out_path);
-            return 1;
-        }
-        std::fwrite(json.data(), 1, json.size(), f);
-        std::fputc('\n', f);
-        std::fclose(f);
-        if (!as_json)
-            std::printf("wrote %s\n", out_path);
-    }
-    if (!as_json)
-        std::printf("%zu/%zu benchmarks clean\n",
-                    static_cast<std::size_t>(std::count_if(
-                        audits.begin(), audits.end(),
-                        [](const auto &a) { return a.clean(); })),
-                    audits.size());
-    return all_clean ? 0 : 1;
+    return runTargets(
+        "lint", argc, argv,
+        [seed](const core::ComponentBenchmark &b) {
+            return analysis::graphlint::auditBenchmark(b, seed);
+        },
+        analysis::graphlint::auditToText,
+        analysis::graphlint::auditsToJson);
 }
 
-/**
- * Run the IR dataflow analyzer (buffer liveness, redundant compute,
- * determinism lint — see docs/ANALYSIS.md) over one benchmark or
- * scenario, or everything (--all). The static peak-live-bytes is
- * cross-checked against the measured allocator high-water mark; exits
- * non-zero when any analyzed target is not clean.
- */
+/** IR dataflow analyzer: buffer liveness, redundant compute,
+ *  determinism lint (docs/ANALYSIS.md). */
 int
 cmdAnalyze(int argc, char **argv)
 {
-    const bool all = hasFlag(argc, argv, "--all");
-    const bool as_json = hasFlag(argc, argv, "--json");
-    const char *out_path = argString(argc, argv, "--out", nullptr);
     const auto seed = static_cast<std::uint64_t>(
         argValue(argc, argv, "--seed", 42));
-
-    std::vector<const core::ComponentBenchmark *> benchmarks;
-    std::vector<const dag::ScenarioSpec *> scenarios;
-    if (all) {
-        benchmarks = core::allBenchmarks();
-        for (const auto &spec : dag::scenarioSpecs())
-            scenarios.push_back(&spec);
-    } else {
-        const char *id = positionalArg(argc, argv);
-        if (!id) {
-            std::fprintf(stderr,
-                         "analyze: pass a benchmark or scenario id, "
-                         "or --all\n");
-            return 2;
-        }
-        if (const auto *spec = dag::findScenarioSpec(id))
-            scenarios.push_back(spec);
-        else
-            benchmarks.push_back(requireBenchmark(id));
-    }
-
-    std::vector<analysis::graphlint::BenchmarkAnalysis> analyses;
-    analyses.reserve(benchmarks.size() + scenarios.size());
-    bool all_clean = true;
-    const auto report =
-        [&](analysis::graphlint::BenchmarkAnalysis a) {
-            if (!as_json)
-                std::printf(
-                    "%s",
-                    analysis::graphlint::analysisToText(a).c_str());
-            all_clean = all_clean && a.clean();
-            analyses.push_back(std::move(a));
-        };
-    for (const auto *b : benchmarks)
-        report(analysis::graphlint::analyzeBenchmark(*b, seed));
-    for (const auto *spec : scenarios)
-        report(analysis::graphlint::analyzeScenario(*spec, seed));
-
-    const std::string json =
-        analysis::graphlint::analysesToJson(analyses);
-    if (as_json)
-        std::printf("%s\n", json.c_str());
-    if (out_path) {
-        std::FILE *f = std::fopen(out_path, "w");
-        if (!f) {
-            std::fprintf(stderr, "cannot write '%s'\n", out_path);
-            return 1;
-        }
-        std::fwrite(json.data(), 1, json.size(), f);
-        std::fputc('\n', f);
-        std::fclose(f);
-        if (!as_json)
-            std::printf("wrote %s\n", out_path);
-    }
-    if (!as_json)
-        std::printf("%zu/%zu targets clean\n",
-                    static_cast<std::size_t>(std::count_if(
-                        analyses.begin(), analyses.end(),
-                        [](const auto &a) { return a.clean(); })),
-                    analyses.size());
-    return all_clean ? 0 : 1;
+    return runTargets(
+        "analyze", argc, argv,
+        [seed](const core::ComponentBenchmark &b) {
+            return analysis::graphlint::analyzeBenchmark(b, seed);
+        },
+        analysis::graphlint::analysisToText,
+        analysis::graphlint::analysesToJson);
 }
 
-/**
- * Run the graph optimizer (element-wise kernel fusion + static arena
- * memory planning, see docs/GRAPHOPT.md) over one benchmark or
- * scenario, or everything (--all). Every fusion prediction is
- * cross-checked op-by-op against a real fused capture, and both arena
- * gates (enacted plan, runtime first-fit) must hold exactly; exits
- * non-zero when any optimized target is not clean.
- */
+/** Graph optimizer: kernel fusion + static arena planning, proven
+ *  on real runs (docs/GRAPHOPT.md). */
 int
 cmdOptimize(int argc, char **argv)
 {
-    const bool all = hasFlag(argc, argv, "--all");
-    const bool as_json = hasFlag(argc, argv, "--json");
-    const char *out_path = argString(argc, argv, "--out", nullptr);
     analysis::graphopt::OptimizeOptions options;
     options.seed = static_cast<std::uint64_t>(
         argValue(argc, argv, "--seed", 42));
     options.reps = std::max(
         1, static_cast<int>(
                argValue(argc, argv, "--reps", options.reps)));
-
-    std::vector<const core::ComponentBenchmark *> benchmarks;
-    std::vector<const dag::ScenarioSpec *> scenarios;
-    if (all) {
-        benchmarks = core::allBenchmarks();
-        for (const auto &spec : dag::scenarioSpecs())
-            scenarios.push_back(&spec);
-    } else {
-        const char *id = positionalArg(argc, argv);
-        if (!id) {
-            std::fprintf(stderr,
-                         "optimize: pass a benchmark or scenario id, "
-                         "or --all\n");
-            return 2;
-        }
-        if (const auto *spec = dag::findScenarioSpec(id))
-            scenarios.push_back(spec);
-        else
-            benchmarks.push_back(requireBenchmark(id));
-    }
-
-    std::vector<analysis::graphopt::TargetReport> reports;
-    reports.reserve(benchmarks.size() + scenarios.size());
-    bool all_clean = true;
-    const auto report = [&](analysis::graphopt::TargetReport r) {
-        if (!as_json)
-            std::printf(
-                "%s", analysis::graphopt::reportToText(r).c_str());
-        all_clean = all_clean && r.clean();
-        reports.push_back(std::move(r));
-    };
-    for (const auto *b : benchmarks)
-        report(analysis::graphopt::optimizeBenchmark(*b, options));
-    for (const auto *spec : scenarios)
-        report(analysis::graphopt::optimizeScenario(*spec, options));
-
-    const std::string json =
-        analysis::graphopt::reportsToJson(reports);
-    if (as_json)
-        std::printf("%s\n", json.c_str());
-    if (out_path) {
-        std::FILE *f = std::fopen(out_path, "w");
-        if (!f) {
-            std::fprintf(stderr, "cannot write '%s'\n", out_path);
-            return 1;
-        }
-        std::fwrite(json.data(), 1, json.size(), f);
-        std::fputc('\n', f);
-        std::fclose(f);
-        if (!as_json)
-            std::printf("wrote %s\n", out_path);
-    }
-    if (!as_json)
-        std::printf("%zu/%zu targets clean\n",
-                    static_cast<std::size_t>(std::count_if(
-                        reports.begin(), reports.end(),
-                        [](const auto &r) { return r.clean(); })),
-                    reports.size());
-    return all_clean ? 0 : 1;
+    return runTargets(
+        "optimize", argc, argv,
+        [&options](const core::ComponentBenchmark &b) {
+            return analysis::graphopt::optimizeBenchmark(b, options);
+        },
+        analysis::graphopt::reportToText,
+        analysis::graphopt::reportsToJson);
 }
 
 /**
@@ -902,19 +761,7 @@ cmdServe(int argc, char **argv)
     const std::string json = serve::reportsToJson(reports);
     if (as_json)
         std::printf("%s\n", json.c_str());
-    if (out_path) {
-        std::FILE *f = std::fopen(out_path, "w");
-        if (!f) {
-            std::fprintf(stderr, "cannot write '%s'\n", out_path);
-            return 1;
-        }
-        std::fwrite(json.data(), 1, json.size(), f);
-        std::fputc('\n', f);
-        std::fclose(f);
-        if (!as_json)
-            std::printf("wrote %s\n", out_path);
-    }
-    return 0;
+    return writeReport("serve", out_path, json, as_json) ? 0 : 1;
 }
 
 // ---- network serving (docs/NETSERVE.md) ----
@@ -961,9 +808,10 @@ parseBatchingFlag(int argc, char **argv, serve::BatchingMode *out)
 int
 cmdNetserve(int argc, char **argv)
 {
-    if (argc < 1)
+    const char *id = positionalArg(argc, argv);
+    if (!id)
         return usage();
-    const auto *b = requireServable(argv[0]);
+    const auto *b = requireServable(id);
 
     net::NetServerOptions options;
     options.host = argString(argc, argv, "--host", "127.0.0.1");
@@ -1084,9 +932,10 @@ cmdNetserve(int argc, char **argv)
 int
 cmdNetbench(int argc, char **argv)
 {
-    if (argc < 1)
+    const char *id = positionalArg(argc, argv);
+    if (!id)
         return usage();
-    const auto *b = requireServable(argv[0]);
+    const auto *b = requireServable(id);
 
     net::NetBenchOptions options;
     options.benchmarkId = b->info.id;
@@ -1150,15 +999,9 @@ cmdNetbench(int argc, char **argv)
         net::buildNetserveReport(*b, options, result, compare);
     const std::string json = net::netserveReportToJson(report);
     std::printf("%s\n", json.c_str());
-    if (const char *out_path =
-            argString(argc, argv, "--out", nullptr)) {
-        std::string err;
-        if (!core::sysio::writeFile(out_path, json.data(),
-                                    json.size(), &err)) {
-            std::fprintf(stderr, "netbench: %s\n", err.c_str());
-            return 1;
-        }
-    }
+    if (!writeReport("netbench", argString(argc, argv, "--out", nullptr),
+                     json, /*quiet=*/true))
+        return 1;
     if (compare &&
         options.batching == serve::BatchingMode::Planned &&
         !report.digestMatch) {
@@ -1258,25 +1101,16 @@ cmdScenario(int argc, char **argv)
     const std::string json = dag::scenarioReportToJson(report);
     if (as_json)
         std::printf("%s\n", json.c_str());
-    if (out_path) {
-        std::FILE *f = std::fopen(out_path, "w");
-        if (!f) {
-            std::fprintf(stderr, "cannot write '%s'\n", out_path);
-            return 1;
-        }
-        std::fwrite(json.data(), 1, json.size(), f);
-        std::fputc('\n', f);
-        std::fclose(f);
-        if (!as_json)
-            std::printf("wrote %s\n", out_path);
-    }
-    return 0;
+    return writeReport("scenario", out_path, json, as_json) ? 0 : 1;
 }
 
 /** One dispatch-table entry; usage() is generated from these. */
 struct Command {
     const char *name;
-    /** Argument synopsis shown in usage, e.g. "<id> [--seed N]". */
+    /**
+     * Argument synopsis shown in usage, e.g. "<id> [--seed N]", and
+     * the one list of the command's flags (see checkArgs).
+     */
     const char *args;
     /** One-line description shown in usage. */
     const char *help;
@@ -1293,7 +1127,7 @@ constexpr Command kCommands[] = {
      "online serving: dynamic batching, tail latency, throughput",
      cmdServe},
     {"netserve",
-     "<id> [--port P] [--port-file FILE] "
+     "<id> [--host H] [--port P] [--port-file FILE] "
      "[--batching planned|dynamic] [--qps Q] [--queries N] "
      "[--batch N] [--delay-us D] [--workers N] [--queue-cap N] "
      "[--train-epochs N] [--seed N] [--grace-ms D] "
@@ -1349,6 +1183,68 @@ constexpr Command kCommands[] = {
      cmdTraceSnapshot},
 };
 
+/**
+ * Check @p c's arguments against its synopsis before dispatch and
+ * move the id (the first token that is neither a flag nor a flag's
+ * value) to argv[0]. A synopsis flag followed by a placeholder
+ * ("--seed N", "--batching planned|dynamic") takes the next token;
+ * one that closes its bracket or precedes "|" ("--closed]",
+ * "--all |") takes none. Returns false, naming the offending flag,
+ * for a flag the synopsis does not name or a missing value.
+ */
+bool
+checkArgs(const Command &c, int argc, char **argv)
+{
+    struct Flag {
+        std::string name;
+        bool value;
+    };
+    std::vector<Flag> flags;
+    std::istringstream synopsis(c.args);
+    const std::vector<std::string> words{
+        std::istream_iterator<std::string>(synopsis), {}};
+    for (std::size_t w = 0; w < words.size(); ++w) {
+        std::string word = words[w];
+        word.erase(0, word.find_first_not_of('['));
+        if (word.rfind("--", 0) != 0)
+            continue;
+        const std::size_t end = word.find(']');
+        const bool value = end == std::string::npos &&
+                           w + 1 < words.size() &&
+                           words[w + 1] != "|" && words[w + 1][0] != '[';
+        flags.push_back({word.substr(0, end), value});
+    }
+
+    int id = -1;
+    for (int i = 0; i < argc; ++i) {
+        if (argv[i][0] != '-') {
+            if (id < 0)
+                id = i;
+            continue;
+        }
+        const auto flag =
+            std::find_if(flags.begin(), flags.end(),
+                         [&](const Flag &f) { return f.name == argv[i]; });
+        const char *problem = nullptr;
+        if (flag == flags.end())
+            problem = "unknown flag";
+        else if (flag->value && i + 1 == argc)
+            problem = "no value after";
+        if (problem) {
+            std::fprintf(stderr, "aibench %s: %s '%s'\n", c.name,
+                         problem, argv[i]);
+            std::fprintf(stderr, "usage: aibench %s %s\n", c.name,
+                         c.args);
+            return false;
+        }
+        if (flag->value)
+            ++i;
+    }
+    if (id > 0)
+        std::rotate(argv, argv + id, argv + id + 1);
+    return true;
+}
+
 int
 usage()
 {
@@ -1373,6 +1269,8 @@ main(int argc, char **argv)
     for (const Command &c : kCommands) {
         if (std::strcmp(argv[1], c.name) != 0)
             continue;
+        if (!checkArgs(c, argc - 2, argv + 2))
+            return 2;
         try {
             return c.handler(argc - 2, argv + 2);
         } catch (const std::exception &e) {
