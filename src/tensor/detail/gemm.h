@@ -2,17 +2,23 @@
  * @file
  * The single-precision GEMM backend of the tensor substrate.
  *
- * Every workload in the suite funnels through this entry point
- * (matmul, bmm, and the im2col decomposition of conv2d), so it is
- * implemented as a proper high-performance CPU GEMM rather than a
- * textbook triple loop: BLIS-style MC/KC/NC cache blocking with packed
- * A/B panels, a register-tiled micro-kernel the compiler can
- * auto-vectorize, and multi-threading over row blocks via
- * core::ThreadPool.
+ * Every workload in the suite funnels through these entry points:
+ * gemm() serves matmul and bmm, and the three conv entries serve
+ * conv2d and convTranspose2d. It is a proper high-performance CPU GEMM
+ * rather than a textbook triple loop: BLIS-style MC/KC/NC cache
+ * blocking with packed A/B panels, a register-tiled micro-kernel, and
+ * multi-threading over row blocks via core::ThreadPool.
+ *
+ * The conv entries are implicit GEMMs: they pack the GEMM's B panels
+ * straight from the image (im2col never exists as a buffer) and pack
+ * the weights once per call for every sample. Each packed panel holds
+ * the values the explicit im2col + gemm() decomposition would pack, in
+ * the same layout, so their results are bitwise equal to it.
  *
  * Results are bitwise identical for any thread count: threads split
- * only the M dimension, and every C element accumulates its K-blocks
- * in the same order regardless of partitioning.
+ * only the M dimension (and the conv entries also split samples), and
+ * every C element accumulates its K-blocks in the same order
+ * regardless of partitioning.
  *
  * Not part of the public API.
  */
@@ -54,10 +60,10 @@ std::string_view gemmBackendName(GemmBackend backend);
 bool parseGemmBackend(std::string_view name, GemmBackend *out);
 
 /**
- * Force the kernel gemm() dispatches to. @c Auto restores the runtime
- * CPU pick. @return false (selection unchanged) when the requested
- * backend is not compiled in or the running CPU lacks the ISA.
- * Thread-safe; takes effect for subsequent gemm() calls.
+ * Force the kernel gemm() and the conv entries dispatch to. @c Auto
+ * restores the runtime CPU pick. @return false (selection unchanged)
+ * when the requested backend is not compiled in or the running CPU
+ * lacks the ISA. Thread-safe; takes effect for subsequent calls.
  */
 bool setGemmBackend(GemmBackend backend);
 
@@ -91,6 +97,51 @@ bool applyGemmBackendFromEnv();
 void gemm(const float *a, const float *b, float *c, std::int64_t m,
           std::int64_t n, std::int64_t k, bool trans_a, bool trans_b,
           core::ThreadPool *pool = nullptr);
+
+/**
+ * The im2col view of one image: @c channels planes of height x width,
+ * a kernel x kernel window at the given stride and zero padding, and
+ * an outHeight x outWidth output grid. Row r = (ch*kernel + ki)*kernel
+ * + kj, column q = oi*outWidth + oj of im2col(x) holds
+ * x[ch, oi*stride - padding + ki, oj*stride - padding + kj], or zero
+ * where that falls outside the image.
+ */
+struct ConvGeometry {
+    std::int64_t channels, height, width;
+    int kernel, stride, padding;
+    std::int64_t outHeight, outWidth;
+};
+
+/*
+ * The three conv GEMMs over a batch of @p n samples, with F = @p f
+ * filters, CKK = channels*kernel*kernel and P = outHeight*outWidth.
+ * Each equals, bit for bit, a loop over samples of the explicit
+ * im2col / gemm() / col2im decomposition on the same backend: samples
+ * split across the global pool's chunks, M blocks split inside a
+ * sample's GEMM, K is never split.
+ */
+
+/** out[s] (F, P) += w (F, CKK) * im2col(x[s]). */
+void convForward(const float *w, const float *x, float *out,
+                 std::int64_t n, std::int64_t f, const ConvGeometry &geo);
+
+/**
+ * gw (F, CKK) += sum over s of g[s] (F, P) * im2col(x[s])^T. Samples
+ * accumulate into one partial per pool chunk, and the partials are
+ * added into @p gw in chunk order.
+ */
+void convWeightGrad(const float *g, const float *x, float *gw,
+                    std::int64_t n, std::int64_t f,
+                    const ConvGeometry &geo);
+
+/**
+ * gx[s] (channels, height, width) += col2im(w^T * g[s]), where col2im
+ * adds each im2col element back onto the pixel it was read from, in
+ * (ch, ki, kj, oi, oj) order.
+ */
+void convDataGrad(const float *w, const float *g, float *gx,
+                  std::int64_t n, std::int64_t f,
+                  const ConvGeometry &geo);
 
 /**
  * Naive single-threaded reference GEMM with identical semantics,

@@ -8,6 +8,7 @@
 #ifndef AIB_TENSOR_DETAIL_OP_COMMON_H
 #define AIB_TENSOR_DETAIL_OP_COMMON_H
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -156,12 +157,78 @@ noBroadcastNeeded(const Shape &shape, const Shape &out)
 }
 
 /**
- * Apply @p fn element-wise over the broadcast of @p a and @p b.
- * Fast paths cover the same-shape and scalar cases; the general path
- * walks an incremental multi-index with zero-strides on broadcast
- * dimensions. Shared between the plain binary ops and the fused
- * add+activation kernels so both traverse elements identically (the
- * fused path must stay bitwise-equal to the unfused chain).
+ * Visit the elements of @p shape in order, as runs over its longest
+ * trailing block of dims along which each of the K operands is either
+ * contiguous or fixed on one value. @p strides holds each operand's
+ * strides over @p shape (see broadcastStrides). For every run, calls
+ * body(i, off, len, step): i is the linear index of the run's first
+ * element, off[k] operand k's offset there, len the run length, and
+ * step[k] 1 where operand k advances along the run and 0 where it
+ * stays. Element pairs and their order are those of a plain
+ * element-by-element walk; only the N-d index stepping moves out of
+ * the inner loop.
+ */
+template <std::size_t K, typename Body>
+void
+forEachRun(const Shape &shape,
+           const std::array<std::vector<std::int64_t>, K> &strides,
+           Body &&body)
+{
+    std::int64_t n = 1;
+    for (const std::int64_t d : shape)
+        n *= d;
+    if (n == 0)
+        return;
+    // Grow the block from the last dim while every operand keeps one
+    // step: stride == elements inside the block (1) or 0. Dims of
+    // extent 1 join any block.
+    std::array<std::int64_t, K> step;
+    step.fill(-1);
+    int start = static_cast<int>(shape.size());
+    std::int64_t len = 1;
+    for (int d = start - 1; d >= 0; --d) {
+        if (shape[d] != 1) {
+            std::array<std::int64_t, K> next = step;
+            bool fits = true;
+            for (std::size_t k = 0; k < K && fits; ++k) {
+                const std::int64_t s = strides[k][d];
+                next[k] = s == 0 ? 0 : 1;
+                fits = (s == 0 || s == len) &&
+                       (step[k] < 0 || step[k] == next[k]);
+            }
+            if (!fits)
+                break;
+            step = next;
+            len *= shape[d];
+        }
+        start = d;
+    }
+    for (std::int64_t &k_step : step)
+        k_step = k_step < 0 ? 0 : k_step;  // no dim moved it: fixed
+
+    std::vector<std::int64_t> index(static_cast<std::size_t>(start), 0);
+    std::array<std::int64_t, K> off{};
+    for (std::int64_t i = 0; i < n; i += len) {
+        body(i, off, len, step);
+        for (int d = start - 1; d >= 0; --d) {
+            ++index[d];
+            for (std::size_t k = 0; k < K; ++k)
+                off[k] += strides[k][d];
+            if (index[d] < shape[d])
+                break;
+            index[d] = 0;
+            for (std::size_t k = 0; k < K; ++k)
+                off[k] -= strides[k][d] * shape[d];
+        }
+    }
+}
+
+/**
+ * Apply @p fn element-wise over the broadcast of @p a and @p b, one
+ * forEachRun run at a time. Shared between the plain binary ops and
+ * the fused add+activation kernels so both traverse elements
+ * identically (the fused path must stay bitwise-equal to the unfused
+ * chain).
  */
 template <typename Fn>
 Tensor
@@ -169,67 +236,34 @@ broadcastBinary(const Tensor &a, const Tensor &b, Fn fn)
 {
     const Shape out_shape = broadcastShapes(a.shape(), b.shape());
     Tensor out = Tensor::empty(out_shape);
-    const std::int64_t n = out.numel();
     const float *pa = a.data();
     const float *pb = b.data();
     float *po = out.data();
-
-    if (a.shape() == out_shape && b.shape() == out_shape) {
-        for (std::int64_t i = 0; i < n; ++i)
-            po[i] = fn(pa[i], pb[i]);
-        return out;
-    }
-    if (b.numel() == 1) {
-        const float s = pb[0];
-        for (std::int64_t i = 0; i < n; ++i)
-            po[i] = fn(pa[i], s);
-        return out;
-    }
-    if (a.numel() == 1) {
-        const float s = pa[0];
-        for (std::int64_t i = 0; i < n; ++i)
-            po[i] = fn(s, pb[i]);
-        return out;
-    }
-    // Trailing broadcast: b's shape equals the trailing dims of out
-    // and a is full-shape (the common bias-add pattern).
-    if (a.shape() == out_shape) {
-        const std::int64_t bn = b.numel();
-        bool trailing = true;
-        const Shape &bs = b.shape();
-        const std::size_t off = out_shape.size() - bs.size();
-        for (std::size_t i = 0; i < bs.size(); ++i) {
-            if (bs[i] != out_shape[off + i]) {
-                trailing = false;
-                break;
+    forEachRun<2>(
+        out_shape,
+        {broadcastStrides(a.shape(), out_shape),
+         broadcastStrides(b.shape(), out_shape)},
+        [&](std::int64_t i, const std::array<std::int64_t, 2> &off,
+            std::int64_t len, const std::array<std::int64_t, 2> &step) {
+            float *o = po + i;
+            const float *x = pa + off[0];
+            const float *y = pb + off[1];
+            if (step[0] && step[1]) {
+                for (std::int64_t e = 0; e < len; ++e)
+                    o[e] = fn(x[e], y[e]);
+            } else if (step[0]) {
+                const float yv = *y;
+                for (std::int64_t e = 0; e < len; ++e)
+                    o[e] = fn(x[e], yv);
+            } else if (step[1]) {
+                const float xv = *x;
+                for (std::int64_t e = 0; e < len; ++e)
+                    o[e] = fn(xv, y[e]);
+            } else {
+                for (std::int64_t e = 0; e < len; ++e)
+                    o[e] = fn(*x, *y);
             }
-        }
-        if (trailing && n % bn == 0) {
-            for (std::int64_t i = 0; i < n; ++i)
-                po[i] = fn(pa[i], pb[i % bn]);
-            return out;
-        }
-    }
-
-    // General strided walk.
-    const auto sa = broadcastStrides(a.shape(), out_shape);
-    const auto sb = broadcastStrides(b.shape(), out_shape);
-    const int nd = static_cast<int>(out_shape.size());
-    std::vector<std::int64_t> index(nd, 0);
-    std::int64_t oa = 0, ob = 0;
-    for (std::int64_t i = 0; i < n; ++i) {
-        po[i] = fn(pa[oa], pb[ob]);
-        for (int d = nd - 1; d >= 0; --d) {
-            ++index[d];
-            oa += sa[d];
-            ob += sb[d];
-            if (index[d] < out_shape[d])
-                break;
-            index[d] = 0;
-            oa -= sa[d] * out_shape[d];
-            ob -= sb[d] * out_shape[d];
-        }
-    }
+        });
     return out;
 }
 

@@ -1,13 +1,14 @@
 /**
  * @file
- * Entry point of the GEMM backend (see detail/gemm.h): dispatches to
- * the widest blocked-kernel instantiation the running CPU supports
- * (detail/gemm_kernels.h) and retains the naive triple-loop reference
- * for tests and baseline benchmarks.
+ * Entry points of the GEMM backend (see detail/gemm.h): gemm() and the
+ * three conv entries dispatch to the widest blocked-kernel
+ * instantiation the running CPU supports (detail/gemm_kernels.h); the
+ * naive triple-loop reference stays for tests and baseline benchmarks.
  */
 
 #include "tensor/detail/gemm.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -33,24 +34,24 @@ pickAutoBackend()
     return GemmBackend::Generic;
 }
 
-/** Kernel for a concrete (non-Auto) backend, or nullptr when the
+/** Kernels of a concrete (non-Auto) backend, or nullptr when the
  * backend is not compiled in or the CPU lacks the ISA. */
-GemmKernelFn
+const GemmKernels *
 kernelFor(GemmBackend backend)
 {
     switch (backend) {
       case GemmBackend::Generic:
-        return gemmKernelGeneric;
+        return &kGemmKernelsGeneric;
 #if defined(AIB_GEMM_X86_VARIANTS)
       case GemmBackend::Avx2:
         if (__builtin_cpu_supports("avx2") &&
             __builtin_cpu_supports("fma"))
-            return gemmKernelAvx2;
+            return &kGemmKernelsAvx2;
         return nullptr;
       case GemmBackend::Avx512:
         if (__builtin_cpu_supports("avx512f") &&
             __builtin_cpu_supports("fma"))
-            return gemmKernelAvx512;
+            return &kGemmKernelsAvx512;
         return nullptr;
 #endif
       default:
@@ -58,12 +59,12 @@ kernelFor(GemmBackend backend)
     }
 }
 
-// Dispatch state. The requested backend and the resolved kernel are
-// separate atomics so gemm() pays exactly one relaxed load on the hot
-// path; setGemmBackend writes both under no lock (last writer wins,
-// and both words are individually consistent).
+// Dispatch state. The requested backend and the resolved kernel table
+// are separate atomics so every entry pays exactly one relaxed load on
+// the hot path; setGemmBackend writes both under no lock (last writer
+// wins, and both words are individually consistent).
 std::atomic<int> g_requested{static_cast<int>(GemmBackend::Auto)};
-std::atomic<GemmKernelFn> g_kernel{nullptr};
+std::atomic<const GemmKernels *> g_kernels{nullptr};
 
 /** One-time env application, piggy-backed on first dispatch. */
 bool
@@ -74,6 +75,20 @@ envApplied()
         return true;
     }();
     return applied;
+}
+
+/** The kernel table every entry point dispatches through. */
+const GemmKernels &
+activeKernels()
+{
+    envApplied();
+    const GemmKernels *kernels =
+        g_kernels.load(std::memory_order_relaxed);
+    if (!kernels) {
+        kernels = kernelFor(pickAutoBackend());
+        g_kernels.store(kernels, std::memory_order_relaxed);
+    }
+    return *kernels;
 }
 
 } // namespace
@@ -109,12 +124,12 @@ setGemmBackend(GemmBackend backend)
 {
     const GemmBackend concrete =
         backend == GemmBackend::Auto ? pickAutoBackend() : backend;
-    const GemmKernelFn kernel = kernelFor(concrete);
-    if (!kernel)
+    const GemmKernels *kernels = kernelFor(concrete);
+    if (!kernels)
         return false;
     g_requested.store(static_cast<int>(backend),
                       std::memory_order_relaxed);
-    g_kernel.store(kernel, std::memory_order_relaxed);
+    g_kernels.store(kernels, std::memory_order_relaxed);
     return true;
 }
 
@@ -179,14 +194,81 @@ gemm(const float *a, const float *b, float *c, std::int64_t m,
 {
     if (m <= 0 || n <= 0 || k <= 0)
         return;
-    envApplied();
-    GemmKernelFn kernel = g_kernel.load(std::memory_order_relaxed);
-    if (!kernel) {
-        kernel = kernelFor(pickAutoBackend());
-        g_kernel.store(kernel, std::memory_order_relaxed);
-    }
-    kernel(a, b, c, m, n, k, trans_a, trans_b,
-           pool ? *pool : core::ThreadPool::global());
+    activeKernels().gemm(a, b, c, m, n, k, trans_a, trans_b,
+                         pool ? *pool : core::ThreadPool::global());
+}
+
+void
+convForward(const float *w, const float *x, float *out, std::int64_t n,
+            std::int64_t f, const ConvGeometry &geo)
+{
+    if (n <= 0 || f <= 0)
+        return;
+    activeKernels().convForward(w, x, out, n, f, geo,
+                                core::ThreadPool::global());
+}
+
+void
+convWeightGrad(const float *g, const float *x, float *gw, std::int64_t n,
+               std::int64_t f, const ConvGeometry &geo)
+{
+    if (n <= 0 || f <= 0)
+        return;
+    activeKernels().convWeightGrad(g, x, gw, n, f, geo,
+                                   core::ThreadPool::global());
+}
+
+void
+convDataGrad(const float *w, const float *g, float *gx, std::int64_t n,
+             std::int64_t f, const ConvGeometry &geo)
+{
+    if (n <= 0 || f <= 0)
+        return;
+    activeKernels().convDataGrad(w, g, gx, n, f, geo,
+                                 core::ThreadPool::global());
+}
+
+void
+col2imAdd(const float *col, const ConvGeometry &g, float *x,
+          core::ThreadPool &pool)
+{
+    // The o in [0, out) with 0 <= o*stride + d < len: the output rows
+    // (columns) whose pixel lies inside the image for kernel offset d.
+    const auto inside = [&g](std::int64_t d, std::int64_t len,
+                             std::int64_t out, std::int64_t *lo,
+                             std::int64_t *hi) {
+        *lo = std::min(out, d >= 0 ? 0 : (-d + g.stride - 1) / g.stride);
+        *hi = len - d <= 0 ? 0
+                           : std::min(out, (len - 1 - d) / g.stride + 1);
+        *hi = std::max(*hi, *lo);
+    };
+    const int k = g.kernel;
+    const std::int64_t cols = g.outHeight * g.outWidth;
+    pool.parallelFor(0, g.channels, 1, [&](std::int64_t c0,
+                                           std::int64_t c1) {
+        for (std::int64_t ch = c0; ch < c1; ++ch)
+            for (int ki = 0; ki < k; ++ki) {
+                std::int64_t oi_lo, oi_hi;
+                inside(ki - g.padding, g.height, g.outHeight, &oi_lo,
+                       &oi_hi);
+                for (int kj = 0; kj < k; ++kj) {
+                    std::int64_t oj_lo, oj_hi;
+                    inside(kj - g.padding, g.width, g.outWidth, &oj_lo,
+                           &oj_hi);
+                    const float *src = col + ((ch * k + ki) * k + kj) * cols;
+                    const std::int64_t dx = kj - g.padding;
+                    for (std::int64_t oi = oi_lo; oi < oi_hi; ++oi) {
+                        // Start of the image row this output row reads.
+                        float *dst = x + (ch * g.height + oi * g.stride +
+                                          ki - g.padding) *
+                                             g.width;
+                        const float *srow = src + oi * g.outWidth;
+                        for (std::int64_t oj = oj_lo; oj < oj_hi; ++oj)
+                            dst[oj * g.stride + dx] += srow[oj];
+                    }
+                }
+            }
+    });
 }
 
 void

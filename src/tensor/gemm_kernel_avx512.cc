@@ -1,9 +1,9 @@
 /**
  * @file
- * AVX-512 instantiation of the blocked GEMM kernel. This TU is
- * compiled with -mavx512f -mfma (see tensor/CMakeLists.txt) and must
- * only be called after __builtin_cpu_supports confirms both.
+ * AVX-512 instantiation of the blocked GEMM and conv kernels. This TU
+ * is compiled with -mavx512f -mfma (see tensor/CMakeLists.txt) and
+ * must only be called after __builtin_cpu_supports confirms both.
  */
 
-#define AIB_GEMM_KERNEL_NAME gemmKernelAvx512
+#define AIB_GEMM_KERNELS kGemmKernelsAvx512
 #include "tensor/detail/gemm_blocked.inc"

@@ -1,8 +1,8 @@
 /**
  * @file
- * Portable baseline instantiation of the blocked GEMM kernel,
- * compiled with the project's default flags (SSE2 on x86-64).
+ * Portable baseline instantiation of the blocked GEMM and conv
+ * kernels, compiled with the project's default flags (SSE2 on x86-64).
  */
 
-#define AIB_GEMM_KERNEL_NAME gemmKernelGeneric
+#define AIB_GEMM_KERNELS kGemmKernelsGeneric
 #include "tensor/detail/gemm_blocked.inc"

@@ -30,24 +30,25 @@ reduceToShape(const Tensor &a, const Shape &target_shape)
         return a;
     Tensor out = Tensor::zeros(target_shape);
     const Shape &as = a.shape();
-    const auto st = detail::broadcastStrides(target_shape, as);
-    const int nd = static_cast<int>(as.size());
-    std::vector<std::int64_t> index(nd, 0);
     const float *pa = a.data();
     float *po = out.data();
     const std::int64_t n = a.numel();
-    std::int64_t ot = 0;
-    for (std::int64_t i = 0; i < n; ++i) {
-        po[ot] += pa[i];
-        for (int d = nd - 1; d >= 0; --d) {
-            ++index[d];
-            ot += st[d];
-            if (index[d] < as[d])
-                break;
-            index[d] = 0;
-            ot -= st[d] * as[d];
-        }
-    }
+    detail::forEachRun<1>(
+        as, {detail::broadcastStrides(target_shape, as)},
+        [&](std::int64_t i, const std::array<std::int64_t, 1> &off,
+            std::int64_t len, const std::array<std::int64_t, 1> &step) {
+            const float *src = pa + i;
+            float *dst = po + off[0];
+            if (step[0]) {
+                for (std::int64_t e = 0; e < len; ++e)
+                    dst[e] += src[e];
+            } else {
+                float acc = *dst;
+                for (std::int64_t e = 0; e < len; ++e)
+                    acc += src[e];
+                *dst = acc;
+            }
+        });
     detail::recordMap(kn::ew_reduce, KernelCategory::Elementwise,
                       static_cast<double>(n), 1.0, 1.0);
     return out;

@@ -2,21 +2,22 @@
  * @file
  * Convolution, pooling and normalization operators (NCHW layout).
  *
- * conv2d is implemented as im2col + GEMM, the same decomposition
- * cuDNN's implicit-GEMM kernels use; the im2col/col2im stages are
- * recorded as data-arrangement kernels and the GEMM stage as a
- * convolution kernel, matching the kernel taxonomy of the paper.
+ * conv2d and convTranspose2d run on the GEMM backend's three conv
+ * entries (detail/gemm.h): implicit GEMMs that pack the GEMM's panels
+ * straight from the image, the same decomposition cuDNN's
+ * implicit-GEMM kernels use. The kernel trace still records the
+ * logical im2col/col2im stages as data-arrangement kernels and the
+ * GEMM stage as a convolution kernel, matching the kernel taxonomy of
+ * the paper; it models the GPU kernel mix, not the host code.
  */
 
 #include "tensor/ops.h"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <vector>
 
-#include "core/thread_pool.h"
 #include "tensor/autograd.h"
 #include "tensor/detail/gemm.h"
 #include "tensor/detail/op_common.h"
@@ -35,101 +36,6 @@ std::int64_t
 convOutSize(std::int64_t in, int kernel, int stride, int padding)
 {
     return (in + 2 * padding - kernel) / stride + 1;
-}
-
-/**
- * Expand one sample (C,H,W) into columns (C*K*K, Ho*Wo).
- * Parallel across channels (each channel writes a disjoint block of
- * rows); runs inline when already inside a parallel region.
- */
-void
-im2colRaw(const float *x, float *col, std::int64_t c, std::int64_t h,
-          std::int64_t w, int kernel, int stride, int padding,
-          std::int64_t ho, std::int64_t wo)
-{
-    core::parallelFor(0, c, 1, [=](std::int64_t c0, std::int64_t c1) {
-    for (std::int64_t ch = c0; ch < c1; ++ch) {
-        for (int ki = 0; ki < kernel; ++ki) {
-            for (int kj = 0; kj < kernel; ++kj) {
-                float *dst =
-                    col + ((ch * kernel + ki) * kernel + kj) * ho * wo;
-                for (std::int64_t oi = 0; oi < ho; ++oi) {
-                    const std::int64_t ii = oi * stride - padding + ki;
-                    if (ii < 0 || ii >= h) {
-                        for (std::int64_t oj = 0; oj < wo; ++oj)
-                            dst[oi * wo + oj] = 0.0f;
-                        continue;
-                    }
-                    for (std::int64_t oj = 0; oj < wo; ++oj) {
-                        const std::int64_t jj = oj * stride - padding + kj;
-                        dst[oi * wo + oj] =
-                            (jj < 0 || jj >= w)
-                                ? 0.0f
-                                : x[(ch * h + ii) * w + jj];
-                    }
-                }
-            }
-        }
-    }
-    });
-}
-
-/**
- * Scatter-add columns (C*K*K, Ho*Wo) back into a sample (C,H,W).
- * The destination must be zero-initialized by the caller. Parallel
- * across channels: every channel scatters into its own (H,W) plane,
- * so there are no write conflicts.
- */
-void
-col2imRaw(const float *col, float *x, std::int64_t c, std::int64_t h,
-          std::int64_t w, int kernel, int stride, int padding,
-          std::int64_t ho, std::int64_t wo)
-{
-    core::parallelFor(0, c, 1, [=](std::int64_t c0, std::int64_t c1) {
-    for (std::int64_t ch = c0; ch < c1; ++ch) {
-        for (int ki = 0; ki < kernel; ++ki) {
-            for (int kj = 0; kj < kernel; ++kj) {
-                const float *src =
-                    col + ((ch * kernel + ki) * kernel + kj) * ho * wo;
-                for (std::int64_t oi = 0; oi < ho; ++oi) {
-                    const std::int64_t ii = oi * stride - padding + ki;
-                    if (ii < 0 || ii >= h)
-                        continue;
-                    for (std::int64_t oj = 0; oj < wo; ++oj) {
-                        const std::int64_t jj = oj * stride - padding + kj;
-                        if (jj < 0 || jj >= w)
-                            continue;
-                        x[(ch * h + ii) * w + jj] += src[oi * wo + oj];
-                    }
-                }
-            }
-        }
-    }
-    });
-}
-
-/** C (M,N) += A (M,K) * B (K,N), via the blocked GEMM backend. */
-void
-gemmAccNN(const float *a, const float *b, float *c, std::int64_t m,
-          std::int64_t n, std::int64_t k)
-{
-    detail::gemm(a, b, c, m, n, k, false, false);
-}
-
-/** C (M,N) += A (M,K) * B^T where B is (N,K). */
-void
-gemmAccNT(const float *a, const float *b, float *c, std::int64_t m,
-          std::int64_t n, std::int64_t k)
-{
-    detail::gemm(a, b, c, m, n, k, false, true);
-}
-
-/** C (M,N) += A^T * B where A is (K,M), B is (K,N). */
-void
-gemmAccTN(const float *a, const float *b, float *c, std::int64_t m,
-          std::int64_t n, std::int64_t k)
-{
-    detail::gemm(a, b, c, m, n, k, true, false);
 }
 
 void
@@ -230,22 +136,9 @@ conv2dImpl(const Tensor &input, const Tensor &weight, const Tensor &bias,
     const std::int64_t hw_out = ho * wo;
     Tensor out = Tensor::zeros({n, f, ho, wo});
 
-    const float *px = input.data();
-    const float *pw = weight.data();
+    const detail::ConvGeometry geo{c, h, w, kernel, stride, padding, ho, wo};
     float *po = out.data();
-    // Parallel across the batch; each chunk owns a private column
-    // buffer, and each sample writes a disjoint slice of the output.
-    core::parallelForChunked(
-        0, n, 1, [&](int, std::int64_t b0, std::int64_t b1) {
-            std::vector<float> col(
-                static_cast<std::size_t>(ckk * hw_out));
-            for (std::int64_t i = b0; i < b1; ++i) {
-                im2colRaw(px + i * c * h * w, col.data(), c, h, w,
-                          kernel, stride, padding, ho, wo);
-                gemmAccNN(pw, col.data(), po + i * f * hw_out, f,
-                          hw_out, ckk);
-            }
-        });
+    detail::convForward(weight.data(), input.data(), po, n, f, geo);
     recordIm2col(static_cast<double>(n) * ckk * hw_out);
     recordConvGemm(kn::conv_winograd, f, hw_out, ckk, n);
 
@@ -294,9 +187,8 @@ conv2dImpl(const Tensor &input, const Tensor &weight, const Tensor &bias,
     return autograd::makeOutput(
         std::move(out), act == Act::None ? "conv2d" : "conv2dAct",
         {input, weight, bias},
-        [input, weight, has_bias = bias.defined(), n, c, h, w, f, kernel,
-         stride, padding, ho, wo, ckk, hw_out, act, slope,
-         saved_out](const Tensor &g0) {
+        [input, weight, has_bias = bias.defined(), n, f, geo, ckk, hw_out,
+         act, slope, saved_out](const Tensor &g0) {
             Tensor g = g0;
             if (act != Act::None) {
                 auto y = saved_out.lock();
@@ -327,50 +219,8 @@ conv2dImpl(const Tensor &input, const Tensor &weight, const Tensor &bias,
                                   1.0);
             }
 
-            const float *px = input.data();
-            const float *pw = weight.data();
-            float *pgx = gx.data();
-            float *pgw = gw.data();
-            // Parallel across the batch. dX writes are disjoint per
-            // sample; dW accumulates into per-chunk partials merged in
-            // chunk order below (chunk boundaries are static, so the
-            // merge order is reproducible).
-            core::ThreadPool &pool = core::ThreadPool::global();
-            const int chunks = std::max(1, pool.numChunks(n, 1));
-            std::vector<std::vector<float>> gw_parts(
-                static_cast<std::size_t>(chunks));
-            pool.parallelForChunked(
-                0, n, 1,
-                [&](int chunk, std::int64_t b0, std::int64_t b1) {
-                    std::vector<float> col(
-                        static_cast<std::size_t>(ckk * hw_out));
-                    std::vector<float> col_grad(
-                        static_cast<std::size_t>(ckk * hw_out));
-                    auto &gwp =
-                        gw_parts[static_cast<std::size_t>(chunk)];
-                    gwp.assign(static_cast<std::size_t>(f * ckk), 0.0f);
-                    for (std::int64_t i = b0; i < b1; ++i) {
-                        im2colRaw(px + i * c * h * w, col.data(), c, h,
-                                  w, kernel, stride, padding, ho, wo);
-                        // dW += g_i * col^T
-                        gemmAccNT(pg + i * f * hw_out, col.data(),
-                                  gwp.data(), f, ckk, hw_out);
-                        // dcol = W^T * g_i
-                        std::fill(col_grad.begin(), col_grad.end(),
-                                  0.0f);
-                        gemmAccTN(pw, pg + i * f * hw_out,
-                                  col_grad.data(), ckk, hw_out, f);
-                        col2imRaw(col_grad.data(), pgx + i * c * h * w,
-                                  c, h, w, kernel, stride, padding, ho,
-                                  wo);
-                    }
-                });
-            for (const auto &gwp : gw_parts) {
-                if (gwp.empty())
-                    continue;
-                for (std::int64_t j = 0; j < f * ckk; ++j)
-                    pgw[j] += gwp[static_cast<std::size_t>(j)];
-            }
+            detail::convWeightGrad(pg, input.data(), gw.data(), n, f, geo);
+            detail::convDataGrad(weight.data(), pg, gx.data(), n, f, geo);
             recordIm2col(static_cast<double>(n) * ckk * hw_out);
             recordConvGemm(kn::conv_wgrad, f, ckk, hw_out, n);
             recordConvGemm(kn::conv_fft, ckk, hw_out, f, n);
@@ -405,23 +255,11 @@ convTranspose2dImpl(const Tensor &input, const Tensor &weight,
     const std::int64_t hw_in = h * w;
     Tensor out = Tensor::zeros({n, f, ho, wo});
 
-    const float *px = input.data();
-    const float *pw = weight.data();
+    // The conv whose data gradient this is: F input channels of Ho x
+    // Wo, C filters, and an H x W output grid.
+    const detail::ConvGeometry geo{f, ho, wo, kernel, stride, padding, h, w};
     float *po = out.data();
-    // Parallel across the batch with a per-chunk column buffer.
-    core::parallelForChunked(
-        0, n, 1, [&](int, std::int64_t b0, std::int64_t b1) {
-            std::vector<float> col(
-                static_cast<std::size_t>(fkk * hw_in));
-            for (std::int64_t i = b0; i < b1; ++i) {
-                // col (F*K*K, H*W) = W^T (FKK, C) * x_i (C, H*W)
-                std::fill(col.begin(), col.end(), 0.0f);
-                gemmAccTN(pw, px + i * c * hw_in, col.data(), fkk,
-                          hw_in, c);
-                col2imRaw(col.data(), po + i * f * ho * wo, f, ho, wo,
-                          kernel, stride, padding, h, w);
-            }
-        });
+    detail::convDataGrad(weight.data(), input.data(), po, n, c, geo);
     recordConvGemm(kn::conv_winograd, fkk, hw_in, c, n);
     recordCol2im(static_cast<double>(n) * fkk * hw_in);
 
@@ -466,9 +304,8 @@ convTranspose2dImpl(const Tensor &input, const Tensor &weight,
         std::move(out),
         act == Act::None ? "convTranspose2d" : "convTranspose2dAct",
         {input, weight, bias},
-        [input, weight, has_bias = bias.defined(), n, c, h, w, f, kernel,
-         stride, padding, ho, wo, fkk, hw_in, act, slope,
-         saved_out](const Tensor &g0) {
+        [input, weight, has_bias = bias.defined(), n, c, f, ho, wo, geo,
+         fkk, hw_in, act, slope, saved_out](const Tensor &g0) {
             Tensor g = g0;
             if (act != Act::None) {
                 auto y = saved_out.lock();
@@ -496,43 +333,9 @@ convTranspose2dImpl(const Tensor &input, const Tensor &weight,
                     }
             }
 
-            const float *px = input.data();
-            const float *pw = weight.data();
-            float *pgx = gx.data();
-            float *pgw = gw.data();
-            // Parallel across the batch; dW goes through per-chunk
-            // partials merged in chunk order (see conv2d backward).
-            core::ThreadPool &pool = core::ThreadPool::global();
-            const int chunks = std::max(1, pool.numChunks(n, 1));
-            std::vector<std::vector<float>> gw_parts(
-                static_cast<std::size_t>(chunks));
-            pool.parallelForChunked(
-                0, n, 1,
-                [&](int chunk, std::int64_t b0, std::int64_t b1) {
-                    std::vector<float> col(
-                        static_cast<std::size_t>(fkk * hw_in));
-                    auto &gwp =
-                        gw_parts[static_cast<std::size_t>(chunk)];
-                    gwp.assign(static_cast<std::size_t>(c * fkk), 0.0f);
-                    for (std::int64_t i = b0; i < b1; ++i) {
-                        // dcol = im2col(g_i), F channels, output size.
-                        im2colRaw(pg + i * f * hw_out, col.data(), f,
-                                  ho, wo, kernel, stride, padding, h,
-                                  w);
-                        // dX_i (C, HW) += W (C, FKK) * dcol (FKK, HW)
-                        gemmAccNN(pw, col.data(), pgx + i * c * hw_in,
-                                  c, hw_in, fkk);
-                        // dW (C, FKK) += x_i (C, HW) * dcol^T
-                        gemmAccNT(px + i * c * hw_in, col.data(),
-                                  gwp.data(), c, fkk, hw_in);
-                    }
-                });
-            for (const auto &gwp : gw_parts) {
-                if (gwp.empty())
-                    continue;
-                for (std::int64_t j = 0; j < c * fkk; ++j)
-                    pgw[j] += gwp[static_cast<std::size_t>(j)];
-            }
+            // dX is that conv's forward over g, dW its weight gradient.
+            detail::convForward(weight.data(), pg, gx.data(), n, c, geo);
+            detail::convWeightGrad(input.data(), pg, gw.data(), n, c, geo);
             recordIm2col(static_cast<double>(n) * fkk * hw_in);
             recordConvGemm(kn::conv_wgrad, c, fkk, hw_in, n);
             recordConvGemm(kn::conv_fft, c, hw_in, fkk, n);

@@ -244,23 +244,27 @@ normScale(const Tensor &x, const Tensor &mean, const Tensor &scale,
     const float *pbt = beta.data();
     float *po = out.data();
     const std::int64_t n = out.numel();
-    const auto sp = detail::broadcastStrides(mean.shape(), x.shape());
-    const Shape &xs = x.shape();
-    const int nd = static_cast<int>(xs.size());
-    std::vector<std::int64_t> index(nd, 0);
-    std::int64_t op = 0;
-    for (std::int64_t i = 0; i < n; ++i) {
-        // Same float-op sequence as the unfused sub/mul/mul/add chain.
-        po[i] = ((px[i] - pm[op]) * ps[op]) * pgm[op] + pbt[op];
-        for (int d = nd - 1; d >= 0; --d) {
-            ++index[d];
-            op += sp[d];
-            if (index[d] < xs[d])
-                break;
-            index[d] = 0;
-            op -= sp[d] * xs[d];
-        }
-    }
+    detail::forEachRun<1>(
+        x.shape(), {detail::broadcastStrides(mean.shape(), x.shape())},
+        [&](std::int64_t i, const std::array<std::int64_t, 1> &off,
+            std::int64_t len, const std::array<std::int64_t, 1> &step) {
+            // Same float-op sequence as the unfused sub/mul/mul/add
+            // chain, over the same element pairs.
+            const float *xr = px + i;
+            float *o = po + i;
+            const std::int64_t p = off[0];
+            if (step[0]) {
+                for (std::int64_t e = 0; e < len; ++e)
+                    o[e] = ((xr[e] - pm[p + e]) * ps[p + e]) *
+                               pgm[p + e] +
+                           pbt[p + e];
+            } else {
+                const float m = pm[p], sc = ps[p], gm = pgm[p],
+                            bt = pbt[p];
+                for (std::int64_t e = 0; e < len; ++e)
+                    o[e] = ((xr[e] - m) * sc) * gm + bt;
+            }
+        });
     detail::recordMap(kn::bn_inf, KernelCategory::BatchNorm,
                       static_cast<double>(n), 5.0, 4.0);
     return autograd::makeOutput(

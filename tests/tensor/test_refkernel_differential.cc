@@ -143,6 +143,9 @@ TEST(RefKernelDifferential, Conv2dAcrossBackendsAndThreads)
         {2, 3, 8, 8, 4, 3, 1, 1},
         {1, 2, 7, 7, 3, 3, 2, 0},
         {2, 4, 5, 5, 2, 5, 1, 2},
+        // F = 97, C*K*K = 288 and Ho*Wo = 1089 each span two GEMM
+        // blocks (MC = 96, KC = 256, NC = 1024).
+        {1, 32, 33, 33, 97, 3, 1, 1},
     };
     for (const ConvCase &cc : cases) {
         Rng rng(static_cast<std::uint64_t>(cc.c * 31 + cc.kernel));

@@ -480,30 +480,21 @@ cmdGemmBench(int argc, char **argv)
                     points.back().gflops);
     }
 
-    if (out_path) {
-        std::FILE *f = std::fopen(out_path, "w");
-        if (!f) {
-            std::fprintf(stderr, "cannot write '%s'\n", out_path);
-            return 1;
-        }
-        std::fprintf(f,
-                     "{\n  \"benchmark\": \"gemm\",\n"
-                     "  \"threads\": %d,\n  \"reps\": %d,\n"
-                     "  \"sizes\": [\n",
-                     core::numThreads(), reps);
-        for (std::size_t i = 0; i < points.size(); ++i) {
-            std::fprintf(
-                f,
-                "    {\"n\": %ld, \"seconds\": %.6f, "
-                "\"gflops\": %.3f}%s\n",
-                points[i].n, points[i].seconds, points[i].gflops,
-                i + 1 < points.size() ? "," : "");
-        }
-        std::fprintf(f, "  ]\n}\n");
-        std::fclose(f);
-        std::printf("wrote %s\n", out_path);
+    std::string json = "{\n  \"benchmark\": \"gemm\",\n  \"threads\": " +
+                       std::to_string(core::numThreads()) +
+                       ",\n  \"reps\": " + std::to_string(reps) +
+                       ",\n  \"sizes\": [\n";
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        char line[128];
+        std::snprintf(line, sizeof line,
+                      "    {\"n\": %ld, \"seconds\": %.6f, "
+                      "\"gflops\": %.3f}%s\n",
+                      points[i].n, points[i].seconds, points[i].gflops,
+                      i + 1 < points.size() ? "," : "");
+        json += line;
     }
-    return 0;
+    json += "  ]\n}";
+    return writeReport("gemm-bench", out_path, json, false) ? 0 : 1;
 }
 
 /**
@@ -544,7 +535,13 @@ cmdTraceSnapshot(int argc, char **argv)
                                profiler::TraceSession trace) {
         const std::filesystem::path dir =
             std::filesystem::path(out_dir) / kind;
-        std::filesystem::create_directories(dir);
+        std::error_code ec;
+        std::filesystem::create_directories(dir, ec);
+        if (ec) {
+            std::fprintf(stderr, "trace-snapshot: cannot create '%s': %s\n",
+                         dir.c_str(), ec.message().c_str());
+            std::exit(1);
+        }
         const std::filesystem::path path =
             dir / (b.info.id + ".trace");
         const std::string text = profiler::formatSnapshot(
@@ -1189,8 +1186,9 @@ constexpr Command kCommands[] = {
  * value) to argv[0]. A synopsis flag followed by a placeholder
  * ("--seed N", "--batching planned|dynamic") takes the next token;
  * one that closes its bracket or precedes "|" ("--closed]",
- * "--all |") takes none. Returns false, naming the offending flag,
- * for a flag the synopsis does not name or a missing value.
+ * "--all |") takes none. Returns false, naming the offending token,
+ * for a flag the synopsis does not name, a missing value or a second
+ * id (every command acts on one target).
  */
 bool
 checkArgs(const Command &c, int argc, char **argv)
@@ -1217,16 +1215,16 @@ checkArgs(const Command &c, int argc, char **argv)
 
     int id = -1;
     for (int i = 0; i < argc; ++i) {
-        if (argv[i][0] != '-') {
-            if (id < 0)
-                id = i;
-            continue;
-        }
+        const bool positional = argv[i][0] != '-';
         const auto flag =
             std::find_if(flags.begin(), flags.end(),
                          [&](const Flag &f) { return f.name == argv[i]; });
         const char *problem = nullptr;
-        if (flag == flags.end())
+        if (positional && id >= 0)
+            problem = "a second id";
+        else if (positional)
+            id = i;
+        else if (flag == flags.end())
             problem = "unknown flag";
         else if (flag->value && i + 1 == argc)
             problem = "no value after";
@@ -1237,7 +1235,7 @@ checkArgs(const Command &c, int argc, char **argv)
                          c.args);
             return false;
         }
-        if (flag->value)
+        if (!positional && flag->value)
             ++i;
     }
     if (id > 0)
