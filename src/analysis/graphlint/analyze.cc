@@ -23,16 +23,13 @@
 #include <unordered_map>
 #include <utility>
 
-#include "analysis/graphlint/jsonutil.h"
+#include "core/json.h"
 #include "tensor/alloctrack.h"
 #include "tensor/random.h"
 
 namespace aib::analysis::graphlint {
 
 namespace {
-
-using detail::appendDiagnosticsJson;
-using detail::jsonEscape;
 
 /**
  * Enact the liveness intervals with real tensors: allocate every
@@ -183,55 +180,44 @@ BenchmarkAnalysis::clean(double tolerance) const
 std::string
 analysesToJson(const std::vector<BenchmarkAnalysis> &analyses)
 {
-    std::ostringstream os;
-    os << "{\"schema\":\"aib.analysis/1\",\"benchmarks\":[";
-    for (std::size_t i = 0; i < analyses.size(); ++i) {
-        const BenchmarkAnalysis &a = analyses[i];
-        if (i)
-            os << ",";
-        os << "{\"id\":\"" << jsonEscape(a.id) << "\","
-           << "\"memory\":{"
-           << "\"measured_baseline_bytes\":" << a.measuredBaselineBytes
-           << ",\"process_peak_bytes\":" << a.processPeakBytes
-           << ",\"measured_peak_bytes\":" << a.measuredPeakBytes
-           << ",\"static_peak_bytes\":" << a.staticPeakBytes
-           << ",\"relative_error\":" << a.peakRelativeError()
-           << ",\"activation_peak_bytes\":" << a.liveness.peakLiveBytes
-           << ",\"activation_scope_bytes\":"
-           << a.liveness.peakScopeBytes
-           << ",\"activation_total_bytes\":"
-           << a.liveness.totalAllocBytes
-           << ",\"arena_bytes\":" << a.liveness.arenaBytes
-           << ",\"resident_bytes\":" << a.liveness.residentBytes
-           << "},"
-           << "\"liveness\":{\"buffers\":" << a.liveness.intervals.size()
-           << ",\"reuse\":[";
-        const std::size_t reuse_n =
-            std::min<std::size_t>(a.liveness.reuse.size(), 8);
+    core::json::Writer w;
+    w.beginObject().field("schema", "aib.analysis/1");
+    w.key("benchmarks").beginArray();
+    for (const BenchmarkAnalysis &a : analyses) {
+        const LivenessReport &l = a.liveness;
+        w.beginObject().field("id", a.id).key("memory").beginObject();
+        w.field("measured_baseline_bytes", a.measuredBaselineBytes);
+        w.field("process_peak_bytes", a.processPeakBytes);
+        w.field("measured_peak_bytes", a.measuredPeakBytes);
+        w.field("static_peak_bytes", a.staticPeakBytes);
+        w.field("relative_error", a.peakRelativeError());
+        w.field("activation_peak_bytes", l.peakLiveBytes);
+        w.field("activation_scope_bytes", l.peakScopeBytes);
+        w.field("activation_total_bytes", l.totalAllocBytes);
+        w.field("arena_bytes", l.arenaBytes);
+        w.field("resident_bytes", l.residentBytes).endObject();
+        w.key("liveness").beginObject();
+        w.field("buffers", l.intervals.size()).key("reuse").beginArray();
+        const std::size_t reuse_n = std::min<std::size_t>(l.reuse.size(), 8);
         for (std::size_t r = 0; r < reuse_n; ++r) {
-            const ReuseCandidate &c = a.liveness.reuse[r];
-            if (r)
-                os << ",";
-            os << "{\"from\":" << c.fromOp << ",\"into\":" << c.intoOp
-               << ",\"bytes\":" << c.bytes << "}";
+            const ReuseCandidate &c = l.reuse[r];
+            w.beginObject().field("from", c.fromOp).field("into", c.intoOp);
+            w.field("bytes", c.bytes).endObject();
         }
-        os << "]},"
-           << "\"redundancy\":{\"groups\":" << a.redundancy.groups.size()
-           << ",\"wasted_flops\":" << a.redundancy.wastedFlops << "},"
-           << "\"determinism\":{\"digest_path_ops\":"
-           << a.determinism.digestPathOps
-           << ",\"ordered_reductions\":"
-           << a.determinism.orderedReductions
-           << ",\"rng_advanced\":"
-           << (a.rngAdvancedInServe ? "true" : "false") << "},"
-           << "\"ops\":{\"forward\":" << a.forwardOps
-           << ",\"serve\":" << a.serveOps << "},"
-           << "\"diagnostics\":";
-        appendDiagnosticsJson(os, a.allDiagnostics());
-        os << ",\"clean\":" << (a.clean() ? "true" : "false") << "}";
+        w.endArray().endObject().key("redundancy").beginObject();
+        w.field("groups", a.redundancy.groups.size());
+        w.field("wasted_flops", a.redundancy.wastedFlops).endObject();
+        w.key("determinism").beginObject();
+        w.field("digest_path_ops", a.determinism.digestPathOps);
+        w.field("ordered_reductions", a.determinism.orderedReductions);
+        w.field("rng_advanced", a.rngAdvancedInServe).endObject();
+        w.key("ops").beginObject().field("forward", a.forwardOps);
+        w.field("serve", a.serveOps).endObject();
+        writeDiagnostics(w.key("diagnostics"), a.allDiagnostics());
+        w.field("clean", a.clean()).endObject();
     }
-    os << "]}";
-    return os.str();
+    w.endArray().endObject();
+    return w.str();
 }
 
 std::string

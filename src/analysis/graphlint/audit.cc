@@ -14,8 +14,8 @@
 #include <sstream>
 #include <utility>
 
-#include "analysis/graphlint/jsonutil.h"
 #include "analysis/opcounter.h"
+#include "core/json.h"
 #include "tensor/autograd.h"
 #include "tensor/random.h"
 
@@ -67,9 +67,6 @@ appendCoverageDiagnostics(const StaticTotals &totals,
         diagnostics.push_back(std::move(d));
     }
 }
-
-using detail::appendDiagnosticsJson;
-using detail::jsonEscape;
 
 } // namespace
 
@@ -158,34 +155,46 @@ auditBenchmark(const core::ComponentBenchmark &benchmark,
     return audit;
 }
 
+void
+writeDiagnostics(core::json::Writer &w,
+                 const std::vector<Diagnostic> &diagnostics)
+{
+    w.beginArray();
+    for (const Diagnostic &d : diagnostics) {
+        w.beginObject().field("rule", d.rule);
+        w.field("severity", severityName(d.severity));
+        w.field("subject", d.subject).field("message", d.message);
+        w.endObject();
+    }
+    w.endArray();
+}
+
 std::string
 auditsToJson(const std::vector<BenchmarkAudit> &audits)
 {
-    std::ostringstream os;
-    os << "{\"schema\":\"aib.lint/1\",\"benchmarks\":[";
-    for (std::size_t i = 0; i < audits.size(); ++i) {
-        const BenchmarkAudit &a = audits[i];
-        if (i)
-            os << ",";
-        os << "{\"id\":\"" << jsonEscape(a.id) << "\","
-           << "\"params\":{\"static\":" << a.staticParams
-           << ",\"traced\":" << a.tracedParams << "},"
-           << "\"flops\":{\"static\":" << a.staticFlops
-           << ",\"traced\":" << a.tracedFlops
-           << ",\"relative_error\":" << a.flopsRelativeError() << "},"
-           << "\"bytes\":{\"static\":" << a.staticBytes
-           << ",\"traced\":" << a.tracedBytes
-           << ",\"relative_error\":" << a.bytesRelativeError() << "},"
-           << "\"coverage\":{\"forward_ops\":" << a.forwardOps
-           << ",\"modeled_ops\":" << a.modeledOps
-           << ",\"shape_checked_ops\":" << a.shapeCheckedOps
-           << ",\"training_ops\":" << a.trainingOps << "},"
-           << "\"diagnostics\":";
-        appendDiagnosticsJson(os, a.diagnostics);
-        os << ",\"clean\":" << (a.clean() ? "true" : "false") << "}";
+    core::json::Writer w;
+    w.beginObject().field("schema", "aib.lint/1");
+    w.key("benchmarks").beginArray();
+    for (const BenchmarkAudit &a : audits) {
+        w.beginObject().field("id", a.id);
+        w.key("params").beginObject().field("static", a.staticParams);
+        w.field("traced", a.tracedParams).endObject();
+        w.key("flops").beginObject().field("static", a.staticFlops);
+        w.field("traced", a.tracedFlops);
+        w.field("relative_error", a.flopsRelativeError()).endObject();
+        w.key("bytes").beginObject().field("static", a.staticBytes);
+        w.field("traced", a.tracedBytes);
+        w.field("relative_error", a.bytesRelativeError()).endObject();
+        w.key("coverage").beginObject();
+        w.field("forward_ops", a.forwardOps);
+        w.field("modeled_ops", a.modeledOps);
+        w.field("shape_checked_ops", a.shapeCheckedOps);
+        w.field("training_ops", a.trainingOps).endObject();
+        writeDiagnostics(w.key("diagnostics"), a.diagnostics);
+        w.field("clean", a.clean()).endObject();
     }
-    os << "]}";
-    return os.str();
+    w.endArray().endObject();
+    return w.str();
 }
 
 std::string

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "core/benchmark.h"
+#include "core/json.h"
 #include "tensor/graph_capture.h"
 
 namespace aib::analysis::graphlint {
@@ -157,6 +158,13 @@ BenchmarkAudit auditBenchmark(const core::ComponentBenchmark &benchmark,
 
 /** Render audits as the aib.lint/1 JSON document. */
 std::string auditsToJson(const std::vector<BenchmarkAudit> &audits);
+
+/**
+ * Write @p diagnostics as a JSON array of {rule, severity, subject,
+ * message} objects; aib.lint/1 and aib.analysis/1 share this shape.
+ */
+void writeDiagnostics(core::json::Writer &w,
+                      const std::vector<Diagnostic> &diagnostics);
 
 /** Render one audit as a human-readable report. */
 std::string auditToText(const BenchmarkAudit &audit);

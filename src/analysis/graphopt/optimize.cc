@@ -26,7 +26,7 @@
 #include <utility>
 
 #include "analysis/graphlint/graphlint.h"
-#include "analysis/graphlint/jsonutil.h"
+#include "core/json.h"
 #include "profiler/trace.h"
 #include "tensor/arena.h"
 #include "tensor/graphopt_mode.h"
@@ -35,8 +35,6 @@
 namespace aib::analysis::graphopt {
 
 namespace {
-
-using analysis::graphlint::detail::jsonEscape;
 
 double
 relativeError(double predicted, double actual)
@@ -260,51 +258,42 @@ TargetReport::clean() const
 std::string
 reportsToJson(const std::vector<TargetReport> &reports)
 {
-    std::ostringstream os;
-    os << "{\"schema\":\"aib.graphopt/1\",\"targets\":[";
-    for (std::size_t i = 0; i < reports.size(); ++i) {
-        const TargetReport &r = reports[i];
-        if (i)
-            os << ",";
-        os << "{\"id\":\"" << jsonEscape(r.id) << "\","
-           << "\"fusion\":{"
-           << "\"add_act\":" << r.addActFused
-           << ",\"conv_act\":" << r.convActFused
-           << ",\"norm_scale\":" << r.normScaleFused
-           << ",\"ops_before\":" << r.opsBefore
-           << ",\"ops_after\":" << r.opsAfter
-           << ",\"eliminated_bytes\":" << r.eliminatedBytes
-           << ",\"sequence_match\":"
-           << (r.sequenceMatch ? "true" : "false")
-           << ",\"static_rel_err\":" << r.staticRelErr
-           << ",\"unmodeled_ops\":" << r.unmodeledOps
-           << ",\"shape_mismatches\":" << r.shapeMismatches << "},"
-           << "\"arena\":{"
-           << "\"plan_bytes\":" << r.planArenaBytes
-           << ",\"enacted_peak_bytes\":" << r.enactedPeakBytes
-           << ",\"plan_exact\":" << (r.planExact ? "true" : "false")
-           << ",\"plan_error\":\"" << jsonEscape(r.planError) << "\""
-           << ",\"runtime_bytes\":" << r.runtimeArenaBytes
-           << ",\"runtime_peak_bytes\":" << r.runtimePeakBytes
-           << ",\"heap_fallback_allocs\":" << r.heapFallbackAllocs
-           << ",\"runtime_fits\":"
-           << (r.runtimeFits ? "true" : "false") << "},"
-           << "\"traffic\":{"
-           << "\"baseline_allocs\":" << r.baselineAllocs
-           << ",\"baseline_alloc_bytes\":" << r.baselineAllocBytes
-           << ",\"optimized_allocs\":" << r.optimizedAllocs
-           << ",\"optimized_alloc_bytes\":" << r.optimizedAllocBytes
-           << ",\"baseline_peak_bytes\":" << r.baselinePeakBytes
-           << ",\"optimized_peak_bytes\":" << r.optimizedPeakBytes
-           << "},"
-           << "\"perf\":{"
-           << "\"baseline_gflops\":" << r.baselineGflops
-           << ",\"optimized_gflops\":" << r.optimizedGflops << "},"
-           << "\"digest_match\":" << (r.digestMatch ? "true" : "false")
-           << ",\"clean\":" << (r.clean() ? "true" : "false") << "}";
+    core::json::Writer w;
+    w.beginObject().field("schema", "aib.graphopt/1");
+    w.key("targets").beginArray();
+    for (const TargetReport &r : reports) {
+        w.beginObject().field("id", r.id).key("fusion").beginObject();
+        w.field("add_act", r.addActFused).field("conv_act", r.convActFused);
+        w.field("norm_scale", r.normScaleFused);
+        w.field("ops_before", r.opsBefore).field("ops_after", r.opsAfter);
+        w.field("eliminated_bytes", r.eliminatedBytes);
+        w.field("sequence_match", r.sequenceMatch);
+        w.field("static_rel_err", r.staticRelErr);
+        w.field("unmodeled_ops", r.unmodeledOps);
+        w.field("shape_mismatches", r.shapeMismatches).endObject();
+        w.key("arena").beginObject();
+        w.field("plan_bytes", r.planArenaBytes);
+        w.field("enacted_peak_bytes", r.enactedPeakBytes);
+        w.field("plan_exact", r.planExact).field("plan_error", r.planError);
+        w.field("runtime_bytes", r.runtimeArenaBytes);
+        w.field("runtime_peak_bytes", r.runtimePeakBytes);
+        w.field("heap_fallback_allocs", r.heapFallbackAllocs);
+        w.field("runtime_fits", r.runtimeFits).endObject();
+        w.key("traffic").beginObject();
+        w.field("baseline_allocs", r.baselineAllocs);
+        w.field("baseline_alloc_bytes", r.baselineAllocBytes);
+        w.field("optimized_allocs", r.optimizedAllocs);
+        w.field("optimized_alloc_bytes", r.optimizedAllocBytes);
+        w.field("baseline_peak_bytes", r.baselinePeakBytes);
+        w.field("optimized_peak_bytes", r.optimizedPeakBytes).endObject();
+        w.key("perf").beginObject();
+        w.field("baseline_gflops", r.baselineGflops);
+        w.field("optimized_gflops", r.optimizedGflops).endObject();
+        w.field("digest_match", r.digestMatch);
+        w.field("clean", r.clean()).endObject();
     }
-    os << "]}";
-    return os.str();
+    w.endArray().endObject();
+    return w.str();
 }
 
 std::string

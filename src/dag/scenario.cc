@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <iomanip>
-#include <sstream>
 #include <stdexcept>
 
+#include "core/json.h"
 #include "core/registry.h"
 #include "serve/endpoint.h"
 #include "tensor/random.h"
@@ -356,71 +355,58 @@ ScenarioRunReport runScenario(const ScenarioSpec &spec,
 
 namespace {
 
-void appendLatencyFields(std::ostringstream &out,
-                         const serve::LatencyHistogram &h)
+void writeLatencyFields(core::json::Writer &w,
+                        const serve::LatencyHistogram &h)
 {
-    out << "\"count\": " << h.count() << ", \"mean_ms\": "
-        << h.meanUs() / 1000.0 << ", \"p50_ms\": "
-        << h.percentileUs(50.0) / 1000.0 << ", \"p95_ms\": "
-        << h.percentileUs(95.0) / 1000.0 << ", \"p99_ms\": "
-        << h.percentileUs(99.0) / 1000.0 << ", \"max_ms\": "
-        << h.maxUs() / 1000.0;
+    w.field("count", h.count()).field("mean_ms", h.meanUs() / 1000.0);
+    w.field("p50_ms", h.percentileUs(50.0) / 1000.0);
+    w.field("p95_ms", h.percentileUs(95.0) / 1000.0);
+    w.field("p99_ms", h.percentileUs(99.0) / 1000.0);
+    w.field("max_ms", h.maxUs() / 1000.0);
 }
 
 } // namespace
 
 std::string scenarioReportToJson(const ScenarioRunReport &report)
 {
-    std::ostringstream out;
-    out << std::setprecision(17);
-    out << "{\n";
-    out << "  \"schema\": \"aib.scenario/1\",\n";
-    out << "  \"scenario\": \"" << report.scenarioId << "\",\n";
-    out << "  \"name\": \"" << report.name << "\",\n";
-    out << "  \"components\": [";
-    for (std::size_t i = 0; i < report.components.size(); ++i) {
-        if (i > 0) {
-            out << ", ";
-        }
-        out << '"' << report.components[i] << '"';
+    core::json::Writer w;
+    w.beginObject().field("schema", "aib.scenario/1");
+    w.field("scenario", report.scenarioId).field("name", report.name);
+    w.key("components").beginArray();
+    for (const std::string &component : report.components) {
+        w.value(component);
     }
-    out << "],\n";
-    out << "  \"queries\": " << report.queries << ",\n";
-    out << "  \"batch\": " << report.batch << ",\n";
-    out << "  \"workers\": " << report.workers << ",\n";
-    out << "  \"dag_workers\": " << report.dagWorkers << ",\n";
-    out << "  \"seed\": " << report.seed << ",\n";
-    out << "  \"digest\": " << report.digest << ",\n";
-    out << "  \"wall_seconds\": " << report.wallSeconds << ",\n";
-    out << "  \"throughput_qps\": " << report.throughputQps << ",\n";
+    w.endArray().field("queries", report.queries);
+    w.field("batch", report.batch).field("workers", report.workers);
+    w.field("dag_workers", report.dagWorkers).field("seed", report.seed);
+    w.field("digest", report.digest);
+    w.field("wall_seconds", report.wallSeconds);
+    w.field("throughput_qps", report.throughputQps);
     double totalFlops = 0.0;
     for (const ScenarioStageReport &stage : report.stages) {
         totalFlops += stage.flops;
     }
-    out << "  \"end_to_end\": {";
-    appendLatencyFields(out, report.endToEnd);
-    out << "},\n";
-    out << "  \"stages\": [\n";
-    for (std::size_t i = 0; i < report.stages.size(); ++i) {
-        const ScenarioStageReport &stage = report.stages[i];
-        out << "    {\"node\": " << stage.node << ", \"stage\": \""
-            << stage.stage << "\", \"task\": ";
+    w.key("end_to_end").beginObject();
+    writeLatencyFields(w, report.endToEnd);
+    w.endObject().key("stages").beginArray();
+    for (const ScenarioStageReport &stage : report.stages) {
+        w.beginObject().field("node", stage.node);
+        w.field("stage", stage.stage).key("task");
         if (stage.benchmarkId.empty()) {
-            out << "null";
+            w.value(nullptr);
         } else {
-            out << '"' << stage.benchmarkId << '"';
+            w.value(stage.benchmarkId);
         }
-        out << ", ";
-        appendLatencyFields(out, stage.latency);
-        out << ", \"launches\": " << stage.launches << ", \"gflops\": "
-            << stage.flops / 1e9 << ", \"gbytes\": " << stage.bytes / 1e9
-            << ", \"flops_share\": "
-            << (totalFlops > 0.0 ? stage.flops / totalFlops : 0.0) << "}"
-            << (i + 1 < report.stages.size() ? "," : "") << "\n";
+        writeLatencyFields(w, stage.latency);
+        w.field("launches", stage.launches);
+        w.field("gflops", stage.flops / 1e9);
+        w.field("gbytes", stage.bytes / 1e9);
+        w.field("flops_share",
+                totalFlops > 0.0 ? stage.flops / totalFlops : 0.0);
+        w.endObject();
     }
-    out << "  ]\n";
-    out << "}";
-    return out.str();
+    w.endArray().endObject();
+    return w.str();
 }
 
 } // namespace aib::dag

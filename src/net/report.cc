@@ -1,25 +1,13 @@
 #include "net/report.h"
 
-#include <cstdarg>
-#include <cstdio>
 #include <cstring>
 
+#include "core/json.h"
 #include "serve/loadgen.h"
 
 namespace aib::net {
 
 namespace {
-
-void
-appendf(std::string *out, const char *fmt, ...)
-{
-    char buf[512];
-    va_list args;
-    va_start(args, fmt);
-    std::vsnprintf(buf, sizeof(buf), fmt, args);
-    va_end(args);
-    *out += buf;
-}
 
 std::uint64_t
 bitsOf(double v)
@@ -30,24 +18,15 @@ bitsOf(double v)
 }
 
 void
-appendLatencyObject(std::string *out, const char *indent,
-                    const serve::LatencyHistogram &h,
-                    bool trailingComma)
+writeLatencyUs(core::json::Writer &w, const serve::LatencyHistogram &h)
 {
-    appendf(out, "%s  \"count\": %llu,\n", indent,
-            static_cast<unsigned long long>(h.count()));
-    appendf(out, "%s  \"mean_us\": %.3f,\n", indent, h.meanUs());
-    appendf(out, "%s  \"min_us\": %.3f,\n", indent, h.minUs());
-    appendf(out, "%s  \"q50_us\": %.3f,\n", indent,
-            h.percentileUs(50.0));
-    appendf(out, "%s  \"q95_us\": %.3f,\n", indent,
-            h.percentileUs(95.0));
-    appendf(out, "%s  \"q99_us\": %.3f,\n", indent,
-            h.percentileUs(99.0));
-    appendf(out, "%s  \"q999_us\": %.3f,\n", indent,
-            h.percentileUs(99.9));
-    appendf(out, "%s  \"max_us\": %.3f\n", indent, h.maxUs());
-    appendf(out, "%s}%s\n", indent, trailingComma ? "," : "");
+    w.beginObject().field("count", h.count());
+    w.field("mean_us", h.meanUs()).field("min_us", h.minUs());
+    w.field("q50_us", h.percentileUs(50.0));
+    w.field("q95_us", h.percentileUs(95.0));
+    w.field("q99_us", h.percentileUs(99.0));
+    w.field("q999_us", h.percentileUs(99.9));
+    w.field("max_us", h.maxUs()).endObject();
 }
 
 } // namespace
@@ -100,92 +79,60 @@ buildNetserveReport(const core::ComponentBenchmark &benchmark,
 std::string
 netserveReportToJson(const NetserveReport &r)
 {
-    std::string out = "{\n";
-    appendf(&out, "  \"schema\": \"aib.netserve/1\",\n");
-    appendf(&out, "  \"benchmark\": \"%s\",\n",
-            r.benchmarkId.c_str());
+    const NetBenchOptions &o = r.options;
+    core::json::Writer w;
+    w.beginObject().field("schema", "aib.netserve/1");
+    w.field("benchmark", r.benchmarkId);
     // netserve has one IO model; the field stays for readers.
-    appendf(&out, "  \"io\": \"epoll\",\n");
-    appendf(&out, "  \"mode\": \"%s\",\n",
-            r.options.mode == LoadMode::Open ? "open" : "closed");
-    appendf(&out, "  \"batching\": \"%s\",\n",
-            r.options.batching == serve::BatchingMode::Planned
-                ? "planned"
-                : "dynamic");
-    appendf(&out, "  \"processes\": %d,\n", r.options.processes);
-    appendf(&out, "  \"connections\": %d,\n", r.options.connections);
-    appendf(&out, "  \"queries\": %d,\n", r.options.queries);
-    appendf(&out, "  \"qps\": %.3f,\n", r.options.qps);
-    appendf(&out, "  \"seed\": %llu,\n",
-            static_cast<unsigned long long>(r.options.seed));
-    appendf(&out, "  \"max_batch\": %d,\n", r.options.policy.maxBatch);
-    appendf(&out, "  \"max_delay_us\": %ld,\n",
-            r.options.policy.maxDelayUs);
+    w.field("io", "epoll");
+    w.field("mode", o.mode == LoadMode::Open ? "open" : "closed");
+    w.field("batching", o.batching == serve::BatchingMode::Planned
+                            ? "planned"
+                            : "dynamic");
+    w.field("processes", o.processes).field("connections", o.connections);
+    w.field("queries", o.queries).field("qps", o.qps).field("seed", o.seed);
+    w.field("max_batch", o.policy.maxBatch);
+    w.field("max_delay_us", o.policy.maxDelayUs);
 
     const NetBenchResult &n = r.net;
-    appendf(&out, "  \"network\": {\n");
-    appendf(&out, "    \"sent\": %llu,\n",
-            static_cast<unsigned long long>(n.sent));
-    appendf(&out, "    \"replies\": %llu,\n",
-            static_cast<unsigned long long>(n.replies));
-    appendf(&out, "    \"shed\": %llu,\n",
-            static_cast<unsigned long long>(n.shed));
-    appendf(&out, "    \"errors\": %llu,\n",
-            static_cast<unsigned long long>(n.errors));
-    appendf(&out, "    \"workers_merged\": %d,\n", n.workersMerged);
-    appendf(&out, "    \"wall_seconds\": %.3f,\n", n.wallSeconds);
-    appendf(&out, "    \"throughput_qps\": %.3f,\n",
+    w.key("network").beginObject().field("sent", n.sent);
+    w.field("replies", n.replies).field("shed", n.shed);
+    w.field("errors", n.errors).field("workers_merged", n.workersMerged);
+    w.field("wall_seconds", n.wallSeconds);
+    w.field("throughput_qps",
             n.wallSeconds > 0.0
                 ? static_cast<double>(n.replies) / n.wallSeconds
                 : 0.0);
-    appendf(&out, "    \"latency\": {\n");
-    appendLatencyObject(&out, "    ", n.latency, false);
-    appendf(&out, "  },\n");
+    writeLatencyUs(w.key("latency"), n.latency);
+    w.endObject();
 
-    appendf(&out, "  \"client\": {\n");
-    appendf(&out, "    \"calibration_op_us\": %.4f,\n",
-            n.calibrationOpUs);
-    appendf(&out, "    \"mean_gap_us\": %.3f,\n", n.meanGapUs);
-    appendf(&out, "    \"headroom\": %.2f,\n", n.headroom);
-    appendf(&out, "    \"late_sends\": %llu,\n",
-            static_cast<unsigned long long>(n.lateSends));
-    appendf(&out, "    \"late_fraction\": %.4f,\n", n.lateFraction);
-    appendf(&out, "    \"max_lateness_us\": %.3f,\n",
-            n.maxLatenessUs);
-    appendf(&out, "    \"bottleneck\": %s\n",
-            n.clientBottleneck ? "true" : "false");
-    appendf(&out, "  },\n");
+    w.key("client").beginObject();
+    w.field("calibration_op_us", n.calibrationOpUs);
+    w.field("mean_gap_us", n.meanGapUs).field("headroom", n.headroom);
+    w.field("late_sends", n.lateSends);
+    w.field("late_fraction", n.lateFraction);
+    w.field("max_lateness_us", n.maxLatenessUs);
+    w.field("bottleneck", n.clientBottleneck).endObject();
 
-    appendf(&out, "  \"digest\": {\n");
-    appendf(&out, "    \"network\": %.17g,\n", n.digest);
-    appendf(&out, "    \"complete\": %s,\n",
-            n.digestComplete ? "true" : "false");
-    appendf(&out, "    \"replay\": %.17g,\n", r.replayDigest);
-    appendf(&out, "    \"match\": %s\n",
-            r.digestMatch ? "true" : "false");
-    appendf(&out, "  }%s\n", r.haveInprocess ? "," : "");
+    w.key("digest").beginObject().field("network", n.digest);
+    w.field("complete", n.digestComplete);
+    w.field("replay", r.replayDigest).field("match", r.digestMatch);
+    w.endObject();
 
     if (r.haveInprocess) {
         const serve::LatencyHistogram &h = r.inprocess.latency;
-        appendf(&out, "  \"inprocess\": {\n");
-        appendf(&out, "    \"completed\": %d,\n",
-                r.inprocess.completed);
-        appendf(&out, "    \"rejected\": %d,\n",
-                r.inprocess.rejected);
-        appendf(&out, "    \"latency\": {\n");
-        appendLatencyObject(&out, "    ", h, false);
-        appendf(&out, "  },\n");
-        appendf(&out, "  \"network_tax_us\": {\n");
-        appendf(&out, "    \"q50\": %.3f,\n",
-                n.latency.percentileUs(50.0) - h.percentileUs(50.0));
-        appendf(&out, "    \"q95\": %.3f,\n",
-                n.latency.percentileUs(95.0) - h.percentileUs(95.0));
-        appendf(&out, "    \"q99\": %.3f\n",
-                n.latency.percentileUs(99.0) - h.percentileUs(99.0));
-        appendf(&out, "  }\n");
+        w.key("inprocess").beginObject();
+        w.field("completed", r.inprocess.completed);
+        w.field("rejected", r.inprocess.rejected);
+        writeLatencyUs(w.key("latency"), h);
+        w.endObject().key("network_tax_us").beginObject();
+        w.field("q50", n.latency.percentileUs(50.0) - h.percentileUs(50.0));
+        w.field("q95", n.latency.percentileUs(95.0) - h.percentileUs(95.0));
+        w.field("q99", n.latency.percentileUs(99.0) - h.percentileUs(99.0));
+        w.endObject();
     }
-    out += "}";
-    return out;
+    w.endObject();
+    return w.str();
 }
 
 } // namespace aib::net

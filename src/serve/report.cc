@@ -1,7 +1,6 @@
 #include "serve/report.h"
 
-#include <cstdarg>
-#include <cstdio>
+#include "core/json.h"
 
 namespace aib::serve {
 
@@ -36,90 +35,61 @@ ServingReport::latencyMsP(double pct) const
 namespace {
 
 void
-appendf(std::string *out, const char *fmt, ...)
+writeLatencyMs(core::json::Writer &w, const LatencyHistogram &h)
 {
-    char buf[512];
-    va_list args;
-    va_start(args, fmt);
-    std::vsnprintf(buf, sizeof(buf), fmt, args);
-    va_end(args);
-    *out += buf;
+    w.beginObject().field("mean", h.meanUs() / 1e3);
+    w.field("p50", h.percentileUs(50.0) / 1e3);
+    w.field("p90", h.percentileUs(90.0) / 1e3);
+    w.field("p95", h.percentileUs(95.0) / 1e3);
+    w.field("p99", h.percentileUs(99.0) / 1e3);
+    w.field("max", h.maxUs() / 1e3).endObject();
+}
+
+/** The batching options; the document header repeats the first run's. */
+void
+writeOptions(core::json::Writer &w, const ServingReport &r)
+{
+    w.field("mode", r.mode).field("workers", r.workers);
+    w.field("maxBatch", r.maxBatch).field("maxDelayUs", r.maxDelayUs);
+}
+
+void
+writeServingReport(core::json::Writer &w, const ServingReport &r)
+{
+    w.beginObject().field("id", r.benchmarkId);
+    writeOptions(w, r);
+    w.field("seed", r.seed).field("issued", r.issued);
+    w.field("completed", r.completed).field("rejected", r.rejected);
+    w.field("peakQueueDepth", r.peakQueueDepth);
+    w.field("wallSeconds", r.wallSeconds);
+    w.field("throughputQps", r.throughputQps);
+    if (r.mode == "open")
+        w.field("openLoopQps", r.openLoopQps);
+    writeLatencyMs(w.key("latencyMs"), r.latency);
+    w.field("meanBatchSize", r.meanBatchSize());
+    w.key("batchSizeCounts").beginObject();
+    for (std::size_t s = 0; s < r.batchSizeCounts.size(); ++s) {
+        if (r.batchSizeCounts[s] != 0)
+            w.field(std::to_string(s + 1), r.batchSizeCounts[s]);
+    }
+    w.endObject().field("energyPerQueryMj", r.energyPerQueryMj);
+    w.field("simServiceMsPerQuery", r.simServiceMsPerQuery).endObject();
 }
 
 } // namespace
 
 std::string
-reportToJson(const ServingReport &r, int indent)
-{
-    const std::string pad(static_cast<std::size_t>(indent), ' ');
-    const std::string in = pad + "  ";
-    std::string out = "{\n";
-    appendf(&out, "%s\"id\": \"%s\",\n", in.c_str(),
-            r.benchmarkId.c_str());
-    appendf(&out, "%s\"mode\": \"%s\",\n", in.c_str(), r.mode.c_str());
-    appendf(&out,
-            "%s\"workers\": %d, \"maxBatch\": %d, \"maxDelayUs\": %ld, "
-            "\"seed\": %llu,\n",
-            in.c_str(), r.workers, r.maxBatch, r.maxDelayUs,
-            static_cast<unsigned long long>(r.seed));
-    appendf(&out,
-            "%s\"issued\": %d, \"completed\": %d, \"rejected\": %d, "
-            "\"peakQueueDepth\": %d,\n",
-            in.c_str(), r.issued, r.completed, r.rejected,
-            r.peakQueueDepth);
-    appendf(&out, "%s\"wallSeconds\": %.6f,\n", in.c_str(),
-            r.wallSeconds);
-    appendf(&out, "%s\"throughputQps\": %.3f,\n", in.c_str(),
-            r.throughputQps);
-    if (r.mode == "open")
-        appendf(&out, "%s\"openLoopQps\": %.3f,\n", in.c_str(),
-                r.openLoopQps);
-    appendf(&out,
-            "%s\"latencyMs\": {\"mean\": %.6f, \"p50\": %.6f, "
-            "\"p90\": %.6f, \"p95\": %.6f, \"p99\": %.6f, "
-            "\"max\": %.6f},\n",
-            in.c_str(), r.latency.meanUs() / 1e3, r.latencyMsP(50.0),
-            r.latencyMsP(90.0), r.latencyMsP(95.0), r.latencyMsP(99.0),
-            r.latency.maxUs() / 1e3);
-    appendf(&out, "%s\"meanBatchSize\": %.4f,\n", in.c_str(),
-            r.meanBatchSize());
-    out += in + "\"batchSizeCounts\": {";
-    bool first = true;
-    for (std::size_t s = 0; s < r.batchSizeCounts.size(); ++s) {
-        if (r.batchSizeCounts[s] == 0)
-            continue;
-        appendf(&out, "%s\"%zu\": %llu", first ? "" : ", ", s + 1,
-                static_cast<unsigned long long>(r.batchSizeCounts[s]));
-        first = false;
-    }
-    out += "},\n";
-    appendf(&out, "%s\"energyPerQueryMj\": %.6f,\n", in.c_str(),
-            r.energyPerQueryMj);
-    appendf(&out, "%s\"simServiceMsPerQuery\": %.6f\n", in.c_str(),
-            r.simServiceMsPerQuery);
-    out += pad + "}";
-    return out;
-}
-
-std::string
 reportsToJson(const std::vector<ServingReport> &reports)
 {
-    std::string out = "{\n  \"schema\": \"aib.serve/1\",\n";
-    if (!reports.empty()) {
-        const ServingReport &r = reports.front();
-        appendf(&out,
-                "  \"mode\": \"%s\", \"workers\": %d, \"maxBatch\": "
-                "%d, \"maxDelayUs\": %ld,\n",
-                r.mode.c_str(), r.workers, r.maxBatch, r.maxDelayUs);
-    }
-    out += "  \"benchmarks\": [\n";
-    for (std::size_t i = 0; i < reports.size(); ++i) {
-        out += "    ";
-        out += reportToJson(reports[i], 4);
-        out += i + 1 < reports.size() ? ",\n" : "\n";
-    }
-    out += "  ]\n}\n";
-    return out;
+    core::json::Writer w;
+    w.beginObject().field("schema", "aib.serve/1");
+    if (!reports.empty())
+        writeOptions(w, reports.front());
+    w.key("benchmarks").beginArray();
+    for (const ServingReport &r : reports)
+        writeServingReport(w, r);
+    w.endArray().endObject();
+    return w.str();
 }
 
 } // namespace aib::serve

@@ -56,13 +56,10 @@ struct ServingReport {
     double latencyMsP(double pct) const;
 };
 
-/** One report as a JSON object (no trailing newline). */
-std::string reportToJson(const ServingReport &report, int indent = 0);
-
 /**
- * A whole serving sweep as the BENCH_serving.json document: schema
- * tag, shared options, and one object per benchmark (p99 + peak QPS
- * trajectory for regression tracking).
+ * A whole serving sweep as the aib.serve/1 document (no trailing
+ * newline): schema tag, shared options, and one object per benchmark
+ * (p99 + peak QPS trajectory for regression tracking).
  */
 std::string reportsToJson(const std::vector<ServingReport> &reports);
 

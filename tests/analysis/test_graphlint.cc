@@ -10,6 +10,7 @@
  */
 
 #include <cmath>
+#include <cstdlib>
 
 #include <gtest/gtest.h>
 
@@ -351,6 +352,41 @@ TEST(AuditOutput, JsonContainsCrossCheckFields)
     EXPECT_NE(json.find("\"id\":\"DC-AI-C16\""), std::string::npos);
     EXPECT_NE(json.find("\"relative_error\":"), std::string::npos);
     EXPECT_NE(json.find("\"clean\":true"), std::string::npos);
+}
+
+/** The number that follows the first @p key at or after @p from. */
+double
+numberAfter(const std::string &json, std::size_t from,
+            const std::string &key)
+{
+    const std::size_t at = json.find(key, from);
+    EXPECT_NE(at, std::string::npos) << key;
+    if (at == std::string::npos)
+        return std::nan("");
+    return std::strtod(json.c_str() + at + key.size(), nullptr);
+}
+
+TEST(AuditOutput, JsonCountsReadBackExactly)
+{
+    // C4's forward pass is 1,029,078 FLOPs over 2,067,232 bytes: more
+    // digits than a six-significant-digit rendering keeps.
+    const core::ComponentBenchmark *b = core::findBenchmark("DC-AI-C4");
+    ASSERT_NE(b, nullptr);
+    const BenchmarkAudit audit = auditBenchmark(*b, 42);
+    ASSERT_GT(audit.tracedFlops, 1e6);
+    const std::string json = auditsToJson({audit});
+    const std::size_t flops = json.find("\"flops\":{");
+    const std::size_t bytes = json.find("\"bytes\":{");
+    ASSERT_NE(flops, std::string::npos);
+    ASSERT_NE(bytes, std::string::npos);
+    // EXPECT_EQ compares with ==, which for these positive finite
+    // doubles is bit-for-bit equality; gtest prints them rounded, so
+    // the trace shows the report text.
+    SCOPED_TRACE(json.substr(flops, bytes - flops + 80));
+    EXPECT_EQ(numberAfter(json, flops, "\"static\":"), audit.staticFlops);
+    EXPECT_EQ(numberAfter(json, flops, "\"traced\":"), audit.tracedFlops);
+    EXPECT_EQ(numberAfter(json, bytes, "\"static\":"), audit.staticBytes);
+    EXPECT_EQ(numberAfter(json, bytes, "\"traced\":"), audit.tracedBytes);
 }
 
 TEST(AuditOutput, AuditIsDeterministicForASeed)

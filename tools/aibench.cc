@@ -33,6 +33,7 @@
 #include "core/checkpoint.h"
 #include "core/cost.h"
 #include "core/faultinject.h"
+#include "core/json.h"
 #include "core/registry.h"
 #include "core/runner.h"
 #include "core/subset.h"
@@ -57,6 +58,18 @@ namespace {
 
 int usage();
 
+/** Read all of @p text as one base-10 whole number that fits a long
+ *  into @p value; false on anything else. */
+bool
+parseWhole(const std::string &text, long *value)
+{
+    char *end = nullptr;
+    errno = 0;
+    *value = std::strtol(text.c_str(), &end, 10);
+    return end != text.c_str() && end == text.c_str() + text.size() &&
+           errno != ERANGE;
+}
+
 /** Whole-number value of @p flag; throws std::invalid_argument on
  *  anything else (main turns that into exit 2). */
 long
@@ -65,14 +78,11 @@ argValue(int argc, char **argv, const char *flag, long fallback)
     for (int i = 0; i + 1 < argc; ++i) {
         if (std::strcmp(argv[i], flag) != 0)
             continue;
-        const char *text = argv[i + 1];
-        char *end = nullptr;
-        errno = 0;
-        const long value = std::strtol(text, &end, 10);
-        if (end == text || *end != '\0' || errno == ERANGE)
+        long value = 0;
+        if (!parseWhole(argv[i + 1], &value))
             throw std::invalid_argument(std::string(flag) +
                                         " wants a whole number, got '" +
-                                        text + "'");
+                                        argv[i + 1] + "'");
         return value;
     }
     return fallback;
@@ -209,40 +219,31 @@ cmdList(int argc, char **argv)
             infos.push_back(&b->info);
         for (const auto &s : dag::scenarioSuite())
             infos.push_back(&s.info);
-        std::printf("{\n  \"schema\": \"aib.list/1\",\n"
-                    "  \"benchmarks\": [\n");
-        for (std::size_t i = 0; i < infos.size(); ++i) {
-            const auto &info = *infos[i];
-            std::printf(
-                "    {\"id\": \"%s\", \"name\": \"%s\", "
-                "\"model\": \"%s\", \"dataset\": \"%s\", "
-                "\"metric\": \"%s\", \"target\": %.6g, "
-                "\"direction\": \"%s\", \"suite\": \"%s\", "
-                "\"subset\": %s}%s\n",
-                info.id.c_str(), info.name.c_str(),
-                info.model.c_str(), info.dataset.c_str(),
-                info.metric.c_str(), info.target,
-                info.direction == core::Direction::HigherIsBetter
-                    ? "higher"
-                    : "lower",
-                core::suiteName(info.suite),
-                info.inSubset ? "true" : "false",
-                i + 1 < infos.size() ? "," : "");
+        core::json::Writer w;
+        w.beginObject().field("schema", "aib.list/1");
+        w.key("benchmarks").beginArray();
+        for (const core::BenchmarkInfo *info : infos) {
+            w.beginObject().field("id", info->id);
+            w.field("name", info->name).field("model", info->model);
+            w.field("dataset", info->dataset);
+            w.field("metric", info->metric).field("target", info->target);
+            w.field("direction",
+                    info->direction == core::Direction::HigherIsBetter
+                        ? "higher"
+                        : "lower");
+            w.field("suite", core::suiteName(info->suite));
+            w.field("subset", info->inSubset).endObject();
         }
-        std::printf("  ],\n  \"scenarios\": [\n");
-        const auto &scenarios = dag::scenarioSpecs();
-        for (std::size_t i = 0; i < scenarios.size(); ++i) {
-            const auto &spec = scenarios[i];
-            std::printf("    {\"id\": \"%s\", \"name\": \"%s\", "
-                        "\"components\": [",
-                        spec.id.c_str(), spec.name.c_str());
-            for (std::size_t c = 0; c < spec.components.size(); ++c)
-                std::printf("%s\"%s\"", c > 0 ? ", " : "",
-                            spec.components[c].c_str());
-            std::printf("]}%s\n",
-                        i + 1 < scenarios.size() ? "," : "");
+        w.endArray().key("scenarios").beginArray();
+        for (const auto &spec : dag::scenarioSpecs()) {
+            w.beginObject().field("id", spec.id).field("name", spec.name);
+            w.key("components").beginArray();
+            for (const std::string &component : spec.components)
+                w.value(component);
+            w.endArray().endObject();
         }
-        std::printf("  ]\n}\n");
+        w.endArray().endObject();
+        std::printf("%s\n", w.str().c_str());
         return 0;
     }
     std::printf("%-20s %-32s %-22s %-10s %s\n", "id", "task", "metric",
@@ -480,21 +481,16 @@ cmdGemmBench(int argc, char **argv)
                     points.back().gflops);
     }
 
-    std::string json = "{\n  \"benchmark\": \"gemm\",\n  \"threads\": " +
-                       std::to_string(core::numThreads()) +
-                       ",\n  \"reps\": " + std::to_string(reps) +
-                       ",\n  \"sizes\": [\n";
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        char line[128];
-        std::snprintf(line, sizeof line,
-                      "    {\"n\": %ld, \"seconds\": %.6f, "
-                      "\"gflops\": %.3f}%s\n",
-                      points[i].n, points[i].seconds, points[i].gflops,
-                      i + 1 < points.size() ? "," : "");
-        json += line;
+    core::json::Writer w;
+    w.beginObject().field("benchmark", "gemm");
+    w.field("threads", core::numThreads()).field("reps", reps);
+    w.key("sizes").beginArray();
+    for (const Point &p : points) {
+        w.beginObject().field("n", p.n).field("seconds", p.seconds);
+        w.field("gflops", p.gflops).endObject();
     }
-    json += "  ]\n}";
-    return writeReport("gemm-bench", out_path, json, false) ? 0 : 1;
+    w.endArray().endObject();
+    return writeReport("gemm-bench", out_path, w.str(), false) ? 0 : 1;
 }
 
 /**
@@ -884,36 +880,22 @@ cmdNetserve(int argc, char **argv)
     g_netserver.store(nullptr);
     const net::NetServerStats stats = server.stop();
 
-    std::printf("{\n  \"schema\": \"aib.netserve.server/1\",\n");
-    std::printf("  \"benchmark\": \"%s\",\n", b->info.id.c_str());
-    std::printf("  \"accepted\": %llu,\n",
-                static_cast<unsigned long long>(stats.accepted));
-    std::printf("  \"completed\": %llu,\n",
-                static_cast<unsigned long long>(stats.completed));
-    std::printf("  \"shed\": %llu,\n",
-                static_cast<unsigned long long>(stats.shed));
-    std::printf("  \"batches\": %llu,\n",
-                static_cast<unsigned long long>(stats.batches));
-    std::printf("  \"digest\": %.17g,\n", stats.sessionDigest);
-    std::printf("  \"latency_q99_us\": %.3f,\n",
-                stats.serverLatency.percentileUs(99.0));
-    std::printf("  \"connections\": [\n");
-    for (std::size_t i = 0; i < stats.connections.size(); ++i) {
-        const net::ConnectionStats &c = stats.connections[i];
-        std::printf("    {\"queries\": %llu, \"replies\": %llu, "
-                    "\"errors\": %llu, \"bytes_in\": %llu, "
-                    "\"bytes_out\": %llu, \"bye\": %s, "
-                    "\"fault_killed\": %s}%s\n",
-                    static_cast<unsigned long long>(c.queries),
-                    static_cast<unsigned long long>(c.replies),
-                    static_cast<unsigned long long>(c.errorsSent),
-                    static_cast<unsigned long long>(c.bytesIn),
-                    static_cast<unsigned long long>(c.bytesOut),
-                    c.sawBye ? "true" : "false",
-                    c.faultKilled ? "true" : "false",
-                    i + 1 < stats.connections.size() ? "," : "");
+    core::json::Writer w;
+    w.beginObject().field("schema", "aib.netserve.server/1");
+    w.field("benchmark", b->info.id).field("accepted", stats.accepted);
+    w.field("completed", stats.completed).field("shed", stats.shed);
+    w.field("batches", stats.batches).field("digest", stats.sessionDigest);
+    w.field("latency_q99_us", stats.serverLatency.percentileUs(99.0));
+    w.key("connections").beginArray();
+    for (const net::ConnectionStats &c : stats.connections) {
+        w.beginObject().field("queries", c.queries);
+        w.field("replies", c.replies).field("errors", c.errorsSent);
+        w.field("bytes_in", c.bytesIn).field("bytes_out", c.bytesOut);
+        w.field("bye", c.sawBye).field("fault_killed", c.faultKilled);
+        w.endObject();
     }
-    std::printf("  ]\n}\n");
+    w.endArray().endObject();
+    std::printf("%s\n", w.str().c_str());
     return 0;
 }
 
@@ -979,8 +961,15 @@ cmdNetbench(int argc, char **argv)
                          port_file);
             return 1;
         }
-        options.port =
-            static_cast<int>(std::strtol(text.c_str(), nullptr, 10));
+        long port = 0;
+        if (!parseWhole(text, &port) || port < 1 || port > 65535) {
+            std::fprintf(stderr,
+                         "netbench: port file %s holds '%s', not a port "
+                         "1-65535\n",
+                         port_file, text.c_str());
+            return 1;
+        }
+        options.port = static_cast<int>(port);
     }
 
     net::NetBenchResult result;
