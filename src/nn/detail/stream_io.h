@@ -9,6 +9,7 @@
 #ifndef AIB_NN_DETAIL_STREAM_IO_H
 #define AIB_NN_DETAIL_STREAM_IO_H
 
+#include <cstddef>
 #include <cstdint>
 #include <istream>
 #include <ostream>
@@ -73,6 +74,45 @@ readF64(std::istream &in, const char *what = "f64")
     return readRaw<double>(in, what);
 }
 
+/**
+ * Throw unless @p bytes more bytes can be read from @p in. Decoders
+ * call it with a size taken from the stream before allocating for it,
+ * so a corrupt count fails as a checkpoint error, not as a huge
+ * allocation. A stream that cannot report its length (not seekable)
+ * passes; reading it then fails on truncation as before.
+ */
+inline void
+requireBytes(std::istream &in, std::uint64_t bytes, const char *what)
+{
+    const std::istream::pos_type here = in.tellg();
+    if (here == std::istream::pos_type(-1))
+        return;
+    in.seekg(0, std::ios::end);
+    const std::istream::pos_type end = in.tellg();
+    in.clear();
+    in.seekg(here);
+    if (end == std::istream::pos_type(-1))
+        return;
+    const auto left = static_cast<std::uint64_t>(end - here);
+    if (bytes > left)
+        throw std::runtime_error(
+            std::string("checkpoint: ") + what + " claims " +
+            std::to_string(bytes) + " bytes but only " +
+            std::to_string(left) + " remain");
+}
+
+/** requireBytes for @p count elements of @p size bytes each. */
+inline void
+requireElements(std::istream &in, std::uint64_t count, std::size_t size,
+                const char *what)
+{
+    if (count > UINT64_MAX / size)
+        throw std::runtime_error(std::string("checkpoint: ") + what +
+                                 " count " + std::to_string(count) +
+                                 " overflows");
+    requireBytes(in, count * size, what);
+}
+
 inline void
 writeString(std::ostream &out, const std::string &s)
 {
@@ -84,6 +124,7 @@ inline std::string
 readString(std::istream &in, const char *what = "string")
 {
     const std::uint32_t len = readU32(in, what);
+    requireBytes(in, len, what);
     std::string s(len, '\0');
     in.read(s.data(), len);
     if (!in)
@@ -104,6 +145,7 @@ inline std::vector<float>
 readF32Vec(std::istream &in, const char *what = "f32 vector")
 {
     const std::uint64_t n = readU64(in, what);
+    requireElements(in, n, sizeof(float), what);
     std::vector<float> v(static_cast<std::size_t>(n));
     in.read(reinterpret_cast<char *>(v.data()),
             static_cast<std::streamsize>(v.size() * sizeof(float)));
@@ -125,6 +167,7 @@ inline std::vector<double>
 readF64Vec(std::istream &in, const char *what = "f64 vector")
 {
     const std::uint64_t n = readU64(in, what);
+    requireElements(in, n, sizeof(double), what);
     std::vector<double> v(static_cast<std::size_t>(n));
     in.read(reinterpret_cast<char *>(v.data()),
             static_cast<std::streamsize>(v.size() * sizeof(double)));

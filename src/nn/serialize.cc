@@ -5,6 +5,7 @@
 #include <fstream>
 #include <map>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -46,12 +47,25 @@ readEntries(std::istream &in, const char *section)
         std::string name = detail::readString(in, section);
         const std::uint32_t rank = detail::readU32(in, section);
         Entry e;
+        detail::requireElements(in, rank, sizeof(std::int64_t), section);
         e.shape.resize(rank);
-        std::int64_t n = 1;
+        // Checked before anything is sized from them: a negative dim
+        // or an element count that overflows or outruns the stream.
+        std::uint64_t n = 1;
         for (std::uint32_t d = 0; d < rank; ++d) {
-            e.shape[d] = detail::readI64(in, section);
-            n *= e.shape[d];
+            const std::int64_t dim = detail::readI64(in, section);
+            if (dim < 0)
+                throw std::runtime_error(
+                    "checkpoint: negative dimension " +
+                    std::to_string(dim) + " of '" + name + "' in " +
+                    section);
+            if (dim != 0 && n > UINT64_MAX / static_cast<std::uint64_t>(dim))
+                throw std::runtime_error("checkpoint: element count of '" +
+                                         name + "' overflows in " + section);
+            e.shape[d] = dim;
+            n *= static_cast<std::uint64_t>(dim);
         }
+        detail::requireElements(in, n, sizeof(float), section);
         e.data.resize(static_cast<std::size_t>(n));
         in.read(reinterpret_cast<char *>(e.data.data()),
                 static_cast<std::streamsize>(e.data.size() * sizeof(float)));

@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <map>
 #include <new>
+#include <utility>
 
 namespace aib::arena {
 
@@ -158,6 +159,11 @@ void deallocateRouted(void *p, std::size_t bytes) noexcept;
  * Allocator for TensorImpl storage. Stateless: all instances are
  * interchangeable, and routing is decided per-allocation by the
  * process-wide arena switch.
+ *
+ * Elements a container creates without a value (vector::resize(n))
+ * are default-initialized, i.e. left uninitialized for float: tensor
+ * factories write every element they hand out, so value-initializing
+ * first would store each float twice.
  */
 template <class T> struct TensorAllocator {
     using value_type = T;
@@ -178,6 +184,20 @@ template <class T> struct TensorAllocator {
     deallocate(T *p, std::size_t n) noexcept
     {
         detail::deallocateRouted(p, n * sizeof(T));
+    }
+
+    template <class U>
+    void
+    construct(U *p)
+    {
+        ::new (static_cast<void *>(p)) U;
+    }
+
+    template <class U, class... Args>
+    void
+    construct(U *p, Args &&...args)
+    {
+        ::new (static_cast<void *>(p)) U(std::forward<Args>(args)...);
     }
 
     friend bool

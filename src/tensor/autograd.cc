@@ -121,6 +121,32 @@ topoSort(const std::shared_ptr<Node> &root,
     }
 }
 
+/**
+ * acc += g. A slot holds the gradient tensor a backward closure
+ * returned, not a copy, and a closure may hand one tensor to several
+ * inputs or keep it; so the add is in place only while no other handle
+ * shares acc's storage, and otherwise writes acc + g into a fresh
+ * tensor. Both paths perform the same float add per element.
+ */
+void
+accumulateInto(Tensor &acc, const Tensor &g)
+{
+    const float *src = g.data();
+    const std::int64_t n = acc.numel();
+    if (acc.impl().use_count() == 1) {
+        float *dst = acc.data();
+        for (std::int64_t k = 0; k < n; ++k)
+            dst[k] += src[k];
+        return;
+    }
+    Tensor sum = Tensor::empty(acc.shape());
+    const float *prev = acc.data();
+    float *dst = sum.data();
+    for (std::int64_t k = 0; k < n; ++k)
+        dst[k] = prev[k] + src[k];
+    acc = std::move(sum);
+}
+
 } // namespace
 
 void
@@ -171,16 +197,10 @@ backward(const Tensor &root, const Tensor &grad)
             const auto &fn = input.gradFn();
             if (fn) {
                 auto slot = node_grads.find(fn.get());
-                if (slot == node_grads.end()) {
-                    node_grads.emplace(fn.get(), g.clone());
-                } else {
-                    Tensor &acc = slot->second;
-                    float *dst = acc.data();
-                    const float *src = g.data();
-                    const std::int64_t n = acc.numel();
-                    for (std::int64_t k = 0; k < n; ++k)
-                        dst[k] += src[k];
-                }
+                if (slot == node_grads.end())
+                    node_grads.emplace(fn.get(), std::move(g));
+                else
+                    accumulateInto(slot->second, g);
             } else if (input.requiresGrad()) {
                 const_cast<Tensor &>(input).accumulateGrad(g);
             }

@@ -6,6 +6,7 @@
 
 #include "tensor/ops.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "tensor/autograd.h"
@@ -18,6 +19,15 @@ namespace {
 
 using detail::KernelCategory;
 namespace kn = detail::kn;
+
+/** A fresh tensor of @p shape holding @p a's values (same numel). */
+Tensor
+copyAs(const Tensor &a, const Shape &shape)
+{
+    Tensor out = Tensor::empty(shape);
+    std::copy_n(a.data(), a.numel(), out.data());
+    return out;
+}
 
 } // namespace
 
@@ -46,13 +56,12 @@ reshape(const Tensor &a, const Shape &shape)
             "reshape: numel mismatch " + shapeToString(a.shape()) +
             " -> " + shapeToString(shape));
     }
-    Tensor out = Tensor::fromVector(resolved, a.toVector());
+    Tensor out = copyAs(a, resolved);
     detail::recordCopy(static_cast<double>(a.numel()));
     return autograd::makeOutput(
         std::move(out), "reshape", {a},
         [shape_in = a.shape()](const Tensor &g) {
-            return std::vector<Tensor>{
-                Tensor::fromVector(shape_in, g.toVector())};
+            return std::vector<Tensor>{copyAs(g, shape_in)};
         });
 }
 

@@ -47,6 +47,31 @@ mapGrad(const Tensor &g, const Tensor &x, const Tensor &y, Fn fn)
     return out;
 }
 
+/**
+ * g * keep element-wise, keep = x > 0 ? 1 : @p slope: the relu
+ * (slope 0) and leakyRelu backward. Selecting the factor and then
+ * multiplying leaves a loop GCC vectorizes (compare, blend, multiply)
+ * instead of a branch per element, and the multiply keeps -0, NaN and
+ * inf bitwise what the scalar g * (x > 0 ? 1 : slope) gives.
+ */
+Tensor
+reluGrad(const Tensor &g, const Tensor &x, float slope)
+{
+    Tensor out = Tensor::empty(g.shape());
+    const float *__restrict pg = g.data();
+    const float *__restrict px = x.data();
+    float *__restrict po = out.data();
+    const std::int64_t n = g.numel();
+    for (std::int64_t i = 0; i < n; ++i) {
+        const float keep = px[i] > 0.0f ? 1.0f : slope;
+        po[i] = pg[i] * keep;
+    }
+    profiler::record(kn::relu_bwd, KernelCategory::Relu,
+                     static_cast<double>(n), 8.0 * static_cast<double>(n),
+                     4.0 * static_cast<double>(n), static_cast<double>(n));
+    return out;
+}
+
 } // namespace
 
 Tensor
@@ -149,15 +174,7 @@ relu(const Tensor &a)
                      static_cast<double>(a.numel()));
     return autograd::makeOutput(
         std::move(out), "relu", {a}, [a](const Tensor &g) {
-            Tensor gx = mapGrad(g, a, a, [](float x, float) {
-                return x > 0.0f ? 1.0f : 0.0f;
-            });
-            profiler::record(kn::relu_bwd, KernelCategory::Relu,
-                             static_cast<double>(g.numel()),
-                             8.0 * static_cast<double>(g.numel()),
-                             4.0 * static_cast<double>(g.numel()),
-                             static_cast<double>(g.numel()));
-            return std::vector<Tensor>{std::move(gx)};
+            return std::vector<Tensor>{reluGrad(g, a, 0.0f)};
         });
 }
 
@@ -173,15 +190,7 @@ leakyRelu(const Tensor &a, float slope)
                      static_cast<double>(a.numel()));
     return autograd::makeOutput(
         std::move(out), "leakyRelu", {a}, [a, slope](const Tensor &g) {
-            Tensor gx = mapGrad(g, a, a, [slope](float x, float) {
-                return x > 0.0f ? 1.0f : slope;
-            });
-            profiler::record(kn::relu_bwd, KernelCategory::Relu,
-                             static_cast<double>(g.numel()),
-                             8.0 * static_cast<double>(g.numel()),
-                             4.0 * static_cast<double>(g.numel()),
-                             static_cast<double>(g.numel()));
-            return std::vector<Tensor>{std::move(gx)};
+            return std::vector<Tensor>{reluGrad(g, a, slope)};
         });
 }
 

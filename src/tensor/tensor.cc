@@ -1,6 +1,8 @@
 #include "tensor/tensor.h"
 
+#include <algorithm>
 #include <cassert>
+#include <limits>
 #include <new>
 #include <stdexcept>
 
@@ -82,13 +84,18 @@ seedGlobalRng(std::uint64_t seed)
 Tensor
 Tensor::empty(const Shape &shape)
 {
-    return Tensor(makeImpl(shape));
+    auto impl = makeImpl(shape);
+#ifdef AIB_POISON_EMPTY_TENSORS
+    std::fill(impl->data.begin(), impl->data.end(),
+              std::numeric_limits<float>::quiet_NaN());
+#endif
+    return Tensor(std::move(impl));
 }
 
 Tensor
 Tensor::zeros(const Shape &shape)
 {
-    return Tensor(makeImpl(shape));
+    return full(shape, 0.0f);
 }
 
 Tensor

@@ -44,6 +44,12 @@ class Tensor
     /** @name Factories
      * @{
      */
+    /**
+     * Tensor with uninitialized storage: the caller must write every
+     * element before anything reads it. Use zeros() for an output
+     * that is accumulated into. Sanitizer builds (AIB_SANITIZE) fill
+     * the storage with quiet NaN so that a missed element shows.
+     */
     static Tensor empty(const Shape &shape);
     static Tensor zeros(const Shape &shape);
     static Tensor ones(const Shape &shape);

@@ -62,9 +62,11 @@ TEST(GraphCapture, RecordsOpsWithShapesAndIds)
 TEST(GraphCapture, RecordsBackwardRootsAndPhases)
 {
     Tensor w =
-        Tensor::fromVector({2}, {0.5f, -0.25f}).setRequiresGrad(true);
+        Tensor::fromVector({1, 2}, {0.5f, -0.25f}).setRequiresGrad(true);
     graph::GraphCapture capture;
-    Tensor loss = ops::sum(ops::mul(w, w));
+    // permute's backward runs permute, a captured op, in the backward
+    // phase.
+    Tensor loss = ops::sum(ops::permute(ops::mul(w, w), {1, 0}));
     loss.backward();
     const graph::CapturedGraph &g = capture.graph();
     ASSERT_EQ(g.backwardRoots.size(), 1u);

@@ -7,6 +7,7 @@
  * smaller than checkpoint) — and must leave the module untouched.
  */
 
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -167,6 +168,88 @@ TEST(SerializeMismatchTest, BadMagicIsRejected)
     TwoLayerNet net(rng);
     std::istringstream in("WRONGMAG rest of stream");
     EXPECT_THROW(nn::readModuleState(net, in), std::runtime_error);
+}
+
+template <typename T>
+void
+put(std::string &out, T v)
+{
+    out.append(reinterpret_cast<const char *>(&v), sizeof(v));
+}
+
+/**
+ * A module-state stream whose parameter section holds one entry
+ * "a.weight" of @p dims followed by @p payload bytes, and whose
+ * buffer section is empty.
+ */
+std::string
+stateWithEntry(const std::vector<std::int64_t> &dims,
+               std::size_t payload = 64, std::uint32_t name_len = 8)
+{
+    std::string out = "AIBCKPT2";
+    put<std::uint32_t>(out, 1);
+    put<std::uint32_t>(out, name_len);
+    out += std::string("a.weight").substr(0, name_len);
+    put<std::uint32_t>(out, static_cast<std::uint32_t>(dims.size()));
+    for (std::int64_t d : dims)
+        put<std::int64_t>(out, d);
+    out.append(payload, '\0');
+    put<std::uint32_t>(out, 0);
+    return out;
+}
+
+/** readModuleState of @p bytes into a TwoLayerNet; the error text. */
+std::string
+loadError(const std::string &bytes)
+{
+    Rng rng(1);
+    TwoLayerNet net(rng);
+    const std::vector<float> before = flatParams(net);
+    std::istringstream in(bytes);
+    std::string msg;
+    try {
+        nn::readModuleState(net, in);
+    } catch (const std::runtime_error &e) {
+        msg = e.what();
+    }
+    EXPECT_EQ(flatParams(net), before);
+    return msg;
+}
+
+TEST(SerializeMismatchTest, NegativeDimensionIsACheckpointError)
+{
+    const std::string msg = loadError(stateWithEntry({4, -1}));
+    EXPECT_NE(msg.find("negative dimension -1"), std::string::npos)
+        << msg;
+}
+
+TEST(SerializeMismatchTest, HugeDimensionIsRejectedBeforeAllocating)
+{
+    // 2^40 floats (4 TiB) claimed, 64 bytes present.
+    const std::string msg = loadError(stateWithEntry({std::int64_t{1} << 40}));
+    EXPECT_NE(msg.find("remain"), std::string::npos) << msg;
+}
+
+TEST(SerializeMismatchTest, OverflowingElementCountIsRejected)
+{
+    const std::int64_t big = std::int64_t{1} << 40;
+    const std::string msg = loadError(stateWithEntry({big, big, big}));
+    EXPECT_NE(msg.find("overflows"), std::string::npos) << msg;
+}
+
+TEST(SerializeMismatchTest, OversizedNameIsRejectedBeforeAllocating)
+{
+    // The name claims 4 GiB - 1 bytes; the stream ends long before.
+    const std::string msg =
+        loadError(stateWithEntry({4}, 64, 0xFFFFFFFFu));
+    EXPECT_NE(msg.find("remain"), std::string::npos) << msg;
+}
+
+TEST(SerializeMismatchTest, ZeroSizedDimensionStillLoadsAsAMismatch)
+{
+    // A well-formed empty entry is read and then reported by name.
+    const std::string msg = loadError(stateWithEntry({0, 4}, 0));
+    EXPECT_NE(msg.find("'a.weight'"), std::string::npos) << msg;
 }
 
 } // namespace

@@ -12,7 +12,10 @@
  * The shapes leave one GEMM block in each dimension (K > 256,
  * Ho*Wo > 1024, F > 96, C*K*K > 1024), cover strided, 1x1 and 5x5
  * windows with padding, and use batches of 1 and 5 so chunks come out
- * uneven.
+ * uneven. Stride-1 output widths of 1 to 32 give image panels made of
+ * equal runs of every length that divides a backend's panel width,
+ * which are packed with fixed-size copies; width 12 and a stride-2
+ * shape keep the general packing loop covered.
  */
 
 #include <gtest/gtest.h>
@@ -198,6 +201,18 @@ cases()
         {"stride 2, padding 1", 5, 4, 9, 9, 6, 3, 2, 1},
         {"1x1, stride 2", 1, 5, 8, 8, 7, 1, 2, 0},
         {"5x5, padding 2", 5, 3, 7, 7, 4, 5, 1, 2},
+        // Stride-1 output widths 1..32: panels of equal runs of each
+        // length a backend's NR (8, 16, 32) packs with fixed copies,
+        // and a 1x1 window whose whole panel is one run.
+        {"width 1: runs of 1", 2, 3, 5, 1, 4, 3, 1, 1},
+        {"width 2: runs of 2", 2, 3, 5, 2, 4, 3, 1, 1},
+        {"width 4: runs of 4", 2, 3, 5, 4, 4, 3, 1, 1},
+        {"width 8: runs of 8", 2, 3, 5, 8, 4, 3, 1, 1},
+        {"width 16: runs of 16", 2, 3, 3, 16, 4, 3, 1, 1},
+        {"width 32: runs of 32", 2, 3, 3, 32, 4, 3, 1, 1},
+        {"1x1, stride 1: one run per panel", 2, 3, 7, 9, 4, 1, 1, 0},
+        {"width 12: ragged runs", 2, 3, 5, 12, 4, 3, 1, 1},
+        {"width 16, stride 2", 2, 3, 16, 16, 4, 3, 2, 1},
     };
     return all;
 }

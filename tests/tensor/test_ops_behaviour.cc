@@ -5,9 +5,13 @@
  */
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "tensor/autograd.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
 
@@ -279,6 +283,44 @@ TEST(OpsBehaviour, DropoutTrainAndEval)
     EXPECT_GT(zeros, 350);
     EXPECT_LT(zeros, 650);
     EXPECT_NEAR(sum / 1000.0, 1.0, 0.15);
+}
+
+TEST(OpsBehaviour, ReluBackwardBitsMatchTheScalarFormula)
+{
+    // Every pair of signed zeros, infinities, quiet NaNs (one negative
+    // with a payload), subnormals and normals as (x, g). Signaling NaNs
+    // are left out: a compiler may fold g * 1 to g, which differs from
+    // the multiply only in quieting them.
+    const std::uint32_t patterns[] = {
+        0x00000000u, 0x80000000u, 0x7f800000u, 0xff800000u,
+        0x7fc00000u, 0xffc00123u, 0x00000001u, 0x80000001u,
+        0x00400000u, 0x80400000u, 0x3fc00000u, 0xc0100000u,
+        0x7f7fffffu};
+    std::vector<float> values;
+    for (std::uint32_t u : patterns) {
+        float f;
+        std::memcpy(&f, &u, sizeof(f));
+        values.push_back(f);
+    }
+    std::vector<float> xs, gs;
+    for (float x : values)
+        for (float g : values) {
+            xs.push_back(x);
+            gs.push_back(g);
+        }
+    const auto n = static_cast<std::int64_t>(xs.size());
+    for (const float slope : {0.0f, 0.01f, -0.5f}) {
+        Tensor x = Tensor::fromVector({n}, xs).setRequiresGrad(true);
+        Tensor y = slope == 0.0f ? ops::relu(x) : ops::leakyRelu(x, slope);
+        autograd::backward(y, Tensor::fromVector({n}, gs));
+        std::vector<float> want(xs.size());
+        for (std::size_t i = 0; i < xs.size(); ++i)
+            want[i] = gs[i] * (xs[i] > 0.0f ? 1.0f : slope);
+        const float *got = x.grad().data();
+        EXPECT_EQ(std::memcmp(got, want.data(), want.size() * sizeof(float)),
+                  0)
+            << "slope " << slope;
+    }
 }
 
 TEST(OpsBehaviour, EmbeddingLookupSelectsRows)

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "tensor/autograd.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
 
@@ -145,6 +146,29 @@ TEST(Tensor, ReusedTensorInSameOp)
     Tensor z = ops::mul(x, x);
     ops::sum(z).backward();
     EXPECT_FLOAT_EQ(x.grad().item(), 10.0f);
+}
+
+TEST(Tensor, SharedGradientInTwoSlotsIsNotAddedInPlace)
+{
+    // add's backward hands its incoming gradient itself to both
+    // inputs. So the seed reaches the slots of w and s, and through s
+    // those of p and q; then w adds into q's slot and v into p's while
+    // those still hold the seed.
+    Tensor x =
+        Tensor::fromVector({3}, {1.0f, -2.0f, 0.5f}).setRequiresGrad(true);
+    Tensor p = ops::mulScalar(x, 2.0f);
+    Tensor q = ops::mulScalar(x, 3.0f);
+    Tensor s = ops::add(p, q);
+    Tensor v = ops::mulScalar(p, 5.0f);
+    Tensor w = ops::add(q, v);
+    Tensor root = ops::add(w, s); // 2q + 6p = 18x
+    const std::vector<float> seed_values = {1.0f, 0.25f, -3.0f};
+    Tensor seed = Tensor::fromVector({3}, seed_values);
+    autograd::backward(root, seed);
+    EXPECT_EQ(seed.toVector(), seed_values);
+    const std::vector<float> grad = x.grad().toVector();
+    for (std::size_t i = 0; i < seed_values.size(); ++i)
+        EXPECT_EQ(grad[i], 18.0f * seed_values[i]) << i;
 }
 
 TEST(Shape, BroadcastRules)
