@@ -56,13 +56,14 @@ UtteranceGenerator::sample()
         static_cast<std::int64_t>(utt.frameLabels.size());
     utt.frames = Tensor::empty({total_frames, featureDim_});
     float *p = utt.frames.data();
+    rng_.normal(p, utt.frames.numel(), 0.0f, 1.0f);
     for (std::int64_t t = 0; t < total_frames; ++t) {
         const auto &tpl = templates_[static_cast<std::size_t>(
             utt.frameLabels[static_cast<std::size_t>(t)])];
         for (int d = 0; d < featureDim_; ++d)
             p[t * featureDim_ + d] =
                 tpl[static_cast<std::size_t>(d)] +
-                noise_ * rng_.normal();
+                noise_ * p[t * featureDim_ + d];
     }
     return utt;
 }

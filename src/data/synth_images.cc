@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "data/noise.h"
+
 namespace aib::data {
 
 namespace {
@@ -140,11 +142,8 @@ ShapeImageGenerator::sample()
                           ? label
                           : static_cast<int>(rng_.uniformInt(0, 9));
     renderShape(image.data(), label, cx, cy, scale, brightness, color);
-    if (noise_ > 0.0f) {
-        float *p = image.data();
-        for (std::int64_t i = 0; i < image.numel(); ++i)
-            p[i] = std::clamp(p[i] + noise_ * rng_.normal(), 0.0f, 1.0f);
-    }
+    if (noise_ > 0.0f)
+        addClampedNoise(rng_, noise_, image.numel(), image.data());
     return ImageSample{std::move(image), label};
 }
 
@@ -377,11 +376,8 @@ DetectionSceneGenerator::sampleWith(Rng &rng) const
         gt.box = metrics::Box{x1, y1, x1 + w, y1 + h};
         scene.objects.push_back(gt);
     }
-    if (noise_ > 0.0f) {
-        for (std::int64_t i = 0; i < scene.image.numel(); ++i)
-            img[i] =
-                std::clamp(img[i] + noise_ * rng.normal(), 0.0f, 1.0f);
-    }
+    if (noise_ > 0.0f)
+        addClampedNoise(rng, noise_, scene.image.numel(), img);
     return scene;
 }
 
@@ -430,12 +426,8 @@ PairedDomainGenerator::sample()
             }
         }
     }
-    if (noise_ > 0.0f) {
-        for (std::int64_t i = 0; i < scene.domainA.numel(); ++i) {
-            a[i] = std::clamp(a[i] + noise_ * rng_.normal(), 0.0f, 1.0f);
-            b[i] = std::clamp(b[i] + noise_ * rng_.normal(), 0.0f, 1.0f);
-        }
-    }
+    if (noise_ > 0.0f)
+        addClampedNoise(rng_, noise_, scene.domainA.numel(), a, b);
     return scene;
 }
 
@@ -466,9 +458,7 @@ TranslatedGlyphGenerator::sample()
                             static_cast<float>(y), cx, cy, r))
                 img[y * size_ + x] = 1.0f;
     if (noise_ > 0.0f)
-        for (std::int64_t i = 0; i < image.numel(); ++i)
-            img[i] =
-                std::clamp(img[i] + noise_ * rng_.normal(), 0.0f, 1.0f);
+        addClampedNoise(rng_, noise_, image.numel(), img);
     return ImageSample{std::move(image), label};
 }
 

@@ -16,10 +16,10 @@ InteractionGenerator::InteractionGenerator(int users, int items,
             "InteractionGenerator: per_user too large for item count");
     userFactors_.resize(static_cast<std::size_t>(users * factors));
     itemFactors_.resize(static_cast<std::size_t>(items * factors));
-    for (float &v : userFactors_)
-        v = rng_.normal();
-    for (float &v : itemFactors_)
-        v = rng_.normal();
+    rng_.normal(userFactors_.data(),
+                static_cast<std::int64_t>(userFactors_.size()), 0.0f, 1.0f);
+    rng_.normal(itemFactors_.data(),
+                static_cast<std::int64_t>(itemFactors_.size()), 0.0f, 1.0f);
 
     userItems_.resize(static_cast<std::size_t>(users));
     heldOut_.resize(static_cast<std::size_t>(users));

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "data/noise.h"
+
 namespace aib::data {
 
 MovingSpriteGenerator::MovingSpriteGenerator(int size, int frames,
@@ -34,9 +36,7 @@ MovingSpriteGenerator::sample()
                 frame[yy * size_ + xx] = 1.0f;
             }
         if (noise_ > 0.0f)
-            for (std::int64_t i = 0; i < frame_stride; ++i)
-                frame[i] = std::clamp(
-                    frame[i] + noise_ * rng_.normal(), 0.0f, 1.0f);
+            addClampedNoise(rng_, noise_, frame_stride, frame);
         x += vx;
         y += vy;
         if (x < 0.0f || x > static_cast<float>(size_ - sprite_)) {

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "data/noise.h"
+
 namespace aib::data {
 
 VoxelShapeGenerator::VoxelShapeGenerator(int resolution, int families,
@@ -75,11 +77,8 @@ VoxelShapeGenerator::sample()
             view[y * r + x] = v;
         }
     }
-    if (noise_ > 0.0f) {
-        for (std::int64_t i = 0; i < out.view.numel(); ++i)
-            view[i] = std::clamp(view[i] + noise_ * rng_.normal(), 0.0f,
-                                 1.0f);
-    }
+    if (noise_ > 0.0f)
+        addClampedNoise(rng_, noise_, out.view.numel(), view);
     return out;
 }
 

@@ -187,7 +187,8 @@ conv2dImpl(const Tensor &input, const Tensor &weight, const Tensor &bias,
     return autograd::makeOutput(
         std::move(out), act == Act::None ? "conv2d" : "conv2dAct",
         {input, weight, bias},
-        [input, weight, has_bias = bias.defined(), n, f, geo, ckk, hw_out,
+        [input, weight, has_bias = bias.defined(),
+         input_grad = autograd::needsGrad(input), n, f, geo, ckk, hw_out,
          act, slope, saved_out](const Tensor &g0) {
             Tensor g = g0;
             if (act != Act::None) {
@@ -198,7 +199,11 @@ conv2dImpl(const Tensor &input, const Tensor &weight, const Tensor &bias,
                 g = actBackwardFromSavedOutput(g0, Tensor(y), act,
                                                slope);
             }
-            Tensor gx = Tensor::zeros(input.shape());
+            // An input that needed no gradient at forward time (an
+            // image batch) gets none; the trace still records the
+            // data-gradient GEMM and col2im, the modeled kernel mix.
+            Tensor gx =
+                input_grad ? Tensor::zeros(input.shape()) : Tensor();
             Tensor gw = Tensor::zeros(weight.shape());
             Tensor gb;
             const float *pg = g.data();
@@ -220,7 +225,9 @@ conv2dImpl(const Tensor &input, const Tensor &weight, const Tensor &bias,
             }
 
             detail::convWeightGrad(pg, input.data(), gw.data(), n, f, geo);
-            detail::convDataGrad(weight.data(), pg, gx.data(), n, f, geo);
+            if (input_grad)
+                detail::convDataGrad(weight.data(), pg, gx.data(), n, f,
+                                     geo);
             recordIm2col(static_cast<double>(n) * ckk * hw_out);
             recordConvGemm(kn::conv_wgrad, f, ckk, hw_out, n);
             recordConvGemm(kn::conv_fft, ckk, hw_out, f, n);
@@ -304,7 +311,8 @@ convTranspose2dImpl(const Tensor &input, const Tensor &weight,
         std::move(out),
         act == Act::None ? "convTranspose2d" : "convTranspose2dAct",
         {input, weight, bias},
-        [input, weight, has_bias = bias.defined(), n, c, f, ho, wo, geo,
+        [input, weight, has_bias = bias.defined(),
+         input_grad = autograd::needsGrad(input), n, c, f, ho, wo, geo,
          fkk, hw_in, act, slope, saved_out](const Tensor &g0) {
             Tensor g = g0;
             if (act != Act::None) {
@@ -315,7 +323,8 @@ convTranspose2dImpl(const Tensor &input, const Tensor &weight,
                 g = actBackwardFromSavedOutput(g0, Tensor(y), act,
                                                slope);
             }
-            Tensor gx = Tensor::zeros(input.shape());
+            Tensor gx =
+                input_grad ? Tensor::zeros(input.shape()) : Tensor();
             Tensor gw = Tensor::zeros(weight.shape());
             Tensor gb;
             const float *pg = g.data();
@@ -333,8 +342,11 @@ convTranspose2dImpl(const Tensor &input, const Tensor &weight,
                     }
             }
 
-            // dX is that conv's forward over g, dW its weight gradient.
-            detail::convForward(weight.data(), pg, gx.data(), n, c, geo);
+            // dX is that conv's forward over g (for an input that
+            // needs it, as in conv2d), dW its weight gradient.
+            if (input_grad)
+                detail::convForward(weight.data(), pg, gx.data(), n, c,
+                                    geo);
             detail::convWeightGrad(input.data(), pg, gw.data(), n, c, geo);
             recordIm2col(static_cast<double>(n) * fkk * hw_in);
             recordConvGemm(kn::conv_wgrad, c, fkk, hw_in, n);

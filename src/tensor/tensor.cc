@@ -19,14 +19,10 @@ thread_local bool tl_grad_mode = true;
 
 Rng g_global_rng{0x5eedULL};
 
-/** Register @p impl's storage with the allocation tracker. */
-void
-trackImpl(TensorImpl &impl)
-{
-    impl.accountedBytes = impl.data.size() * sizeof(float);
-    alloctrack::onAcquire(impl.accountedBytes, &impl);
-}
-
+/**
+ * A TensorImpl of @p shape with uninitialized storage, registered with
+ * the allocation tracker.
+ */
 std::shared_ptr<TensorImpl>
 makeImpl(const Shape &shape)
 {
@@ -37,7 +33,8 @@ makeImpl(const Shape &shape)
     auto impl = std::make_shared<TensorImpl>();
     impl->shape = shape;
     impl->data.resize(static_cast<std::size_t>(numel(shape)));
-    trackImpl(*impl);
+    impl->accountedBytes = impl->data.size() * sizeof(float);
+    alloctrack::onAcquire(impl->accountedBytes, impl.get());
     return impl;
 }
 
@@ -120,12 +117,10 @@ Tensor::fromVector(const Shape &shape, std::vector<float> values)
             "fromVector: value count does not match shape " +
             shapeToString(shape));
     }
-    auto impl = std::make_shared<TensorImpl>();
-    impl->shape = shape;
     // Copy: the storage buffer may live in the arena (FloatBuffer's
     // allocator differs from std::vector's), so adoption can't move.
-    impl->data.assign(values.begin(), values.end());
-    trackImpl(*impl);
+    auto impl = makeImpl(shape);
+    std::copy(values.begin(), values.end(), impl->data.begin());
     return Tensor(std::move(impl));
 }
 
@@ -141,8 +136,8 @@ Tensor
 Tensor::randn(const Shape &shape, Rng &rng)
 {
     auto impl = makeImpl(shape);
-    for (float &v : impl->data)
-        v = rng.normal();
+    rng.normal(impl->data.data(),
+               static_cast<std::int64_t>(impl->data.size()), 0.0f, 1.0f);
     return Tensor(std::move(impl));
 }
 
@@ -308,17 +303,17 @@ void
 Tensor::accumulateGrad(const Tensor &g)
 {
     assert(impl_ && g.defined());
+    const auto &src = g.impl()->data;
+    if (src.size() != impl_->data.size())
+        throw std::invalid_argument(
+            "Tensor::accumulateGrad: gradient size does not match");
     if (!impl_->grad) {
-        auto grad_impl = std::make_shared<TensorImpl>();
-        grad_impl->shape = impl_->shape;
-        grad_impl->data = g.impl()->data;
-        trackImpl(*grad_impl);
+        auto grad_impl = makeImpl(impl_->shape);
+        std::copy(src.begin(), src.end(), grad_impl->data.begin());
         impl_->grad = std::move(grad_impl);
         return;
     }
     auto &dst = impl_->grad->data;
-    const auto &src = g.impl()->data;
-    assert(dst.size() == src.size());
     for (std::size_t i = 0; i < dst.size(); ++i)
         dst[i] += src[i];
 }
@@ -339,10 +334,8 @@ Tensor
 Tensor::detach() const
 {
     assert(impl_);
-    auto impl = std::make_shared<TensorImpl>();
-    impl->shape = impl_->shape;
-    impl->data = impl_->data;
-    trackImpl(*impl);
+    auto impl = makeImpl(impl_->shape);
+    std::copy(impl_->data.begin(), impl_->data.end(), impl->data.begin());
     Tensor out(std::move(impl));
     // detach creates a fresh impl, so without this hook a captured
     // graph would see the value chain silently end here.

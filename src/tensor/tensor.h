@@ -147,9 +147,9 @@ struct TensorImpl {
     std::shared_ptr<TensorImpl> grad;
     std::shared_ptr<autograd::Node> gradFn;
     /**
-     * Storage bytes registered with alloctrack. Set once by the
-     * creation sites in tensor.cc after @c data is sized; 0 for impls
-     * that never registered.
+     * Storage bytes registered with alloctrack. Set once by
+     * tensor.cc's makeImpl, through which every tensor is created,
+     * after @c data is sized; 0 for impls that never registered.
      */
     std::size_t accountedBytes = 0;
 };

@@ -6,6 +6,8 @@
  */
 
 #include <cstdlib>
+#include <new>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -149,6 +151,28 @@ TEST_F(FaultInjectTest, TensorAllocationHookThrowsBadAlloc)
     EXPECT_THROW(aib::Tensor::zeros({4}), std::bad_alloc);
     // Disarmed after firing: allocation works again.
     EXPECT_NO_THROW(aib::Tensor::zeros({4}));
+}
+
+TEST_F(FaultInjectTest, EveryTensorCreationPassesTheAllocationHook)
+{
+    const aib::Tensor src = aib::Tensor::ones({3});
+    fault::arm("tensor.alloc", 1);
+    EXPECT_THROW(aib::Tensor::fromVector({2}, {1.0f, 2.0f}), std::bad_alloc);
+    fault::arm("tensor.alloc", 1);
+    EXPECT_THROW(src.detach(), std::bad_alloc);
+    fault::arm("tensor.alloc", 1);
+    EXPECT_THROW(src.clone(), std::bad_alloc);
+
+    // A leaf's first gradient is a new tensor; later ones add in place.
+    aib::Tensor leaf = aib::Tensor::zeros({3});
+    leaf.setRequiresGrad(true);
+    fault::arm("tensor.alloc", 1);
+    EXPECT_THROW(leaf.accumulateGrad(src), std::bad_alloc);
+    EXPECT_FALSE(leaf.grad().defined());
+    leaf.accumulateGrad(src);
+    fault::arm("tensor.alloc", 1);
+    EXPECT_NO_THROW(leaf.accumulateGrad(src));
+    EXPECT_EQ(leaf.grad().toVector(), (std::vector<float>{2.0f, 2.0f, 2.0f}));
 }
 
 } // namespace

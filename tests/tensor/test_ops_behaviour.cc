@@ -11,7 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include "tensor/alloctrack.h"
 #include "tensor/autograd.h"
+#include "tensor/graphopt_mode.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
 
@@ -348,6 +350,85 @@ TEST(OpsBehaviour, ConcatValidation)
     EXPECT_EQ(ops::concat({a, b}, 1).shape(), (Shape{2, 7}));
     EXPECT_THROW(ops::concat({a, b}, 0), std::invalid_argument);
     EXPECT_THROW(ops::concat({}, 0), std::invalid_argument);
+}
+
+/** The gradients a conv-family node hands back, and what they cost. */
+struct ConvBackward {
+    std::vector<Tensor> grads; ///< d/input, d/weight, d/bias
+    std::uint64_t bytes = 0;   ///< tensor storage its backward allocated
+    std::int64_t inputNumel = 0;
+};
+
+/**
+ * One conv2d or convTranspose2d (stride 2, padding 1) through the fused
+ * entry, so an act other than None runs in the conv's own epilogue,
+ * and its node's backward on a fixed output gradient.
+ */
+ConvBackward
+convBackward(bool transpose, bool with_bias, ops::Act act, bool input_grad)
+{
+    Rng rng(17);
+    Tensor input = Tensor::randn({2, 3, 6, 6}, rng);
+    Tensor weight = transpose ? Tensor::randn({3, 4, 3, 3}, rng)
+                              : Tensor::randn({4, 3, 3, 3}, rng);
+    Tensor bias = with_bias ? Tensor::randn({4}, rng) : Tensor();
+    input.setRequiresGrad(input_grad);
+    weight.setRequiresGrad(true);
+    if (with_bias)
+        bias.setRequiresGrad(true);
+    graphopt::ModeGuard fuse(graphopt::Mode{true, false});
+    Tensor out =
+        transpose
+            ? ops::fused::convTranspose2dAct(input, weight, bias, 2, 1, act)
+            : ops::fused::conv2dAct(input, weight, bias, 2, 1, act);
+    const Tensor g = Tensor::randn(out.shape(), rng);
+    ConvBackward r;
+    r.inputNumel = input.numel();
+    const std::uint64_t before = alloctrack::snapshot().totalBytes;
+    {
+        NoGradGuard no_grad;
+        r.grads = out.gradFn()->backward(g);
+    }
+    r.bytes = alloctrack::snapshot().totalBytes - before;
+    return r;
+}
+
+bool
+sameBits(const Tensor &a, const Tensor &b)
+{
+    return a.defined() == b.defined() &&
+           (!a.defined() ||
+            (a.shape() == b.shape() &&
+             std::memcmp(a.data(), b.data(),
+                         static_cast<std::size_t>(a.numel()) *
+                             sizeof(float)) == 0));
+}
+
+TEST(ConvInputGradient, AnInputThatNeedsNoGradientGetsNoneAndNoBuffer)
+{
+    for (const bool transpose : {false, true})
+        for (const bool with_bias : {false, true})
+            for (const ops::Act act : {ops::Act::None, ops::Act::Relu}) {
+                SCOPED_TRACE(::testing::Message()
+                             << (transpose ? "convTranspose2d" : "conv2d")
+                             << (with_bias ? " with bias" : " no bias")
+                             << " act " << static_cast<int>(act));
+                const ConvBackward with =
+                    convBackward(transpose, with_bias, act, true);
+                const ConvBackward without =
+                    convBackward(transpose, with_bias, act, false);
+                ASSERT_EQ(with.grads.size(), 3u);
+                ASSERT_EQ(without.grads.size(), 3u);
+                EXPECT_TRUE(with.grads[0].defined());
+                EXPECT_FALSE(without.grads[0].defined());
+                // The data gradient's buffer is all the backward saves.
+                EXPECT_EQ(with.bytes - without.bytes,
+                          static_cast<std::uint64_t>(with.inputNumel) *
+                              sizeof(float));
+                EXPECT_TRUE(sameBits(with.grads[1], without.grads[1]));
+                EXPECT_TRUE(sameBits(with.grads[2], without.grads[2]));
+                EXPECT_EQ(without.grads[2].defined(), with_bias);
+            }
 }
 
 } // namespace

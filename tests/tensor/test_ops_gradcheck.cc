@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "tensor/graphopt_mode.h"
 #include "tensor/ops.h"
 #include "testing/gradcheck.h"
 
@@ -246,6 +247,31 @@ TEST(GradCheck, ConvTranspose2d)
         {Tensor::randn({1, 3, 4, 4}, rng()),
          Tensor::randn({3, 2, 4, 4}, rng()), Tensor::randn({2}, rng())},
         1e-2f);
+}
+
+TEST(GradCheck, FusedConvActWithInputGradient)
+{
+    // The fused epilogue's backward, input gradient included; a smooth
+    // act keeps central differences away from a kink. Its own
+    // generator, so the tests after it draw the same inputs.
+    Rng local(4242);
+    graphopt::ModeGuard fuse(graphopt::Mode{true, false});
+    expectGradientsMatch(
+        [](const std::vector<Tensor> &in) {
+            return ops::mean(ops::square(ops::fused::conv2dAct(
+                in[0], in[1], in[2], 1, 1, ops::Act::Tanh)));
+        },
+        {Tensor::randn({2, 2, 5, 5}, local),
+         Tensor::randn({3, 2, 3, 3}, local), Tensor::randn({3}, local)},
+        1e-2f, 3e-2f);
+    expectGradientsMatch(
+        [](const std::vector<Tensor> &in) {
+            return ops::mean(ops::square(ops::fused::convTranspose2dAct(
+                in[0], in[1], in[2], 2, 1, ops::Act::Sigmoid)));
+        },
+        {Tensor::randn({1, 3, 4, 4}, local),
+         Tensor::randn({3, 2, 4, 4}, local), Tensor::randn({2}, local)},
+        1e-2f, 3e-2f);
 }
 
 TEST(GradCheck, Pooling)

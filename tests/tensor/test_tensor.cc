@@ -171,6 +171,21 @@ TEST(Tensor, SharedGradientInTwoSlotsIsNotAddedInPlace)
         EXPECT_EQ(grad[i], 18.0f * seed_values[i]) << i;
 }
 
+TEST(Tensor, AccumulateGradRejectsAGradientOfAnotherSize)
+{
+    // The first gradient is copied into a buffer of the leaf's size,
+    // so a longer one must be refused, not written past its end.
+    Tensor leaf = Tensor::zeros({3});
+    leaf.setRequiresGrad(true);
+    EXPECT_THROW(leaf.accumulateGrad(Tensor::ones({4})),
+                 std::invalid_argument);
+    EXPECT_FALSE(leaf.grad().defined());
+    leaf.accumulateGrad(Tensor::ones({3}));
+    EXPECT_THROW(leaf.accumulateGrad(Tensor::ones({2})),
+                 std::invalid_argument);
+    EXPECT_EQ(leaf.grad().toVector(), (std::vector<float>{1, 1, 1}));
+}
+
 TEST(Shape, BroadcastRules)
 {
     EXPECT_EQ(broadcastShapes({2, 3}, {3}), (Shape{2, 3}));
